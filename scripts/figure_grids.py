@@ -57,4 +57,5 @@ if __name__ == "__main__":
     parser.add_argument("--outdir", type=Path, default=Path("figure_data"))
     parser.add_argument("--points", type=int, default=41,
                         help="number of |z| grid points per surface")
-    run(parser.parse_args().outdir, parser.parse_args().points)
+    args = parser.parse_args()
+    run(args.outdir, args.points)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -36,20 +37,31 @@ def _load_config(path: str) -> dict[str, Any]:
     return cfg
 
 
-def _sequence(cfg: dict[str, Any]) -> GSequence:
+def _sequence(obj: Any) -> GSequence:
     try:
-        return GSequence.from_json(cfg["sequence"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sequence spec: {exc}") from exc
+        return GSequence.from_json(obj)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # AttributeError: obj is no JSON object
+        raise ConfigError(f"bad sequence spec: {exc!r}") from exc
 
 
-def _k(cfg: dict[str, Any]):
-    k = cfg.get("k")
-    if k == "inf":
-        return INFINITE
-    if isinstance(k, int) and k >= 0:
-        return k
-    raise ConfigError(f"k must be a nonnegative integer or 'inf', got {k!r}")
+def _count(value: Any, name: str) -> int:
+    # bool is an int subclass, but true/false is no count
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _k(value: Any):
+    return INFINITE if value == "inf" else _count(value, "k (or 'inf')")
+
+
+def _spec(seq: GSequence, k, z: complex) -> StateSpec:
+    """The state spec, with a refused one (e.g. a divergent k = inf series) as a config error."""
+    try:
+        return StateSpec(seq, k, z)
+    except ValueError as exc:
+        raise ConfigError(f"bad state spec: {exc}") from exc
 
 
 def _grid(spec: dict[str, Any], name: str) -> np.ndarray:
@@ -80,86 +92,81 @@ def _write_rows(rows: list[dict], fieldnames: Sequence[str], out: str | None,
         finally:
             if out:
                 fh.close()
-    elif fmt == "json":
+    else:
         text = json.dumps(rows, indent=2)
         if out:
             Path(out).write_text(text + "\n")
         else:
             print(text)
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
 
 
 def cmd_probs(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
-    seq = _sequence(cfg)
-    k = _k(cfg)
+    seq = _sequence(cfg.get("sequence"))
+    k = _k(cfg.get("k"))
     if k == INFINITE:
         raise ConfigError("probs requires a finite k")
-    zgrid = _grid(cfg["z_grid"], "z") if "z_grid" in cfg else None
-    if zgrid is None:
-        raise ConfigError("probs requires a z_grid")
-    n_lo, n_hi = cfg.get("n_range", [0, int(k)])
+    zgrid = _grid(cfg["z_grid"], "z")
+    n_range = cfg.get("n_range", [0, k])
+    if not (isinstance(n_range, list) and len(n_range) == 2):
+        raise ConfigError(f"n_range must be a pair [lo, hi], got {n_range!r}")
+    n_lo, n_hi = (_count(n, "n_range") for n in n_range)
+    if not n_lo <= n_hi <= k:
+        raise ConfigError(f"n_range must satisfy 0 <= lo <= hi <= k = {k}, got {n_range}")
     rows = []
     for r in zgrid:
-        dist = excitation_distribution(StateSpec(seq, k, complex(r)))
-        for n in range(int(n_lo), int(n_hi) + 1):
+        dist = excitation_distribution(_spec(seq, k, complex(r)))
+        for n in range(n_lo, n_hi + 1):
             rows.append({"abs_z": float(r), "n": n, "p": float(dist.probs[n])})
     _write_rows(rows, ["abs_z", "n", "p"], out, fmt)
     return 0
 
 
-def _swept_sequence(base: dict[str, Any], name: str, value: float) -> GSequence:
-    spec = dict(base)
-    spec[name] = value
-    return GSequence.from_json(spec)
-
-
 def cmd_mandel(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
-    k = _k(cfg)
+    k = _k(cfg.get("k"))
     zgrid = _grid(cfg["z_grid"], "z")
+    base = cfg.get("sequence")
     sweep = cfg.get("param_sweep")
-    rows = []
     if sweep:
-        pgrid = _grid(sweep, "parameter")
-        pname = sweep["name"]
-        for pval in pgrid:
-            seq = _swept_sequence(cfg["sequence"], pname, float(pval))
-            for r in zgrid:
-                if r == 0:
-                    continue
-                rep = statistics.mandel_q(StateSpec(seq, k, complex(r)))
-                rows.append({"param": float(pval), "abs_z": float(r), "q": rep.q})
+        pname = str(sweep["name"])
+        params = [(float(p), {**base, pname: float(p)} if isinstance(base, dict) else base)
+                  for p in _grid(sweep, "parameter")]
     else:
-        seq = _sequence(cfg)
+        params = [(math.nan, base)]
+    rows = []
+    for pval, seq_cfg in params:
+        seq = _sequence(seq_cfg)
         for r in zgrid:
             if r == 0:
                 continue
-            rep = statistics.mandel_q(StateSpec(seq, k, complex(r)))
-            rows.append({"param": math.nan, "abs_z": float(r), "q": rep.q})
+            rep = statistics.mandel_q(_spec(seq, k, complex(r)))
+            rows.append({"param": pval, "abs_z": float(r), "q": rep.q})
     _write_rows(rows, ["param", "abs_z", "q"], out, fmt)
     return 0
 
 
 def cmd_corr(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
-    seq = _sequence(cfg)
-    k = _k(cfg)
+    seq = _sequence(cfg.get("sequence"))
+    k = _k(cfg.get("k"))
     zgrid = _grid(cfg["z_grid"], "z")
     rows = []
     for r in zgrid:
         if r == 0:
             continue
-        g2 = statistics.correlation_g2(StateSpec(seq, k, complex(r)))
+        g2 = statistics.correlation_g2(_spec(seq, k, complex(r)))
         rows.append({"abs_z": float(r), "g2": g2})
     _write_rows(rows, ["abs_z", "g2"], out, fmt)
     return 0
 
 
 def cmd_zeros(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
-    seq = _sequence(cfg)
-    k = _k(cfg)
-    if k == INFINITE:
-        raise ConfigError("zeros requires a finite k")
-    rs = zeros.polynomial_roots(seq, int(k))
+    seq = _sequence(cfg.get("sequence"))
+    k = _k(cfg.get("k"))
+    if k == INFINITE or k < 1:
+        raise ConfigError("zeros requires a finite k >= 1")
+    try:
+        rs = zeros.polynomial_roots(seq, k)
+    except (IndexError, zeros.RootFindingError) as exc:
+        raise ConfigError(f"bad degree: {exc}") from exc
     rows = list(rs.to_csv_rows())
     _write_rows(rows, ["re", "im", "residual"], out, fmt)
     return 0
@@ -169,12 +176,13 @@ _WEIGHT_BUILDERS = {
     "canonical_truncated": lambda w, k: completeness.CanonicalTruncatedWeight(k=int(k)),
     "ml": lambda w, k: completeness.MLWeight(alpha=w["alpha"], beta=w["beta"], k=k),
     "wright": lambda w, k: completeness.WrightWeight(lam=w["lam"], mu=w["mu"], k=k),
-    "general": lambda w, k: completeness.GeneralWeight(
-        f=AuxFunction(nu=w.get("nu", 0.0), rho=w.get("rho", 1.0), w=w.get("w", 1.0)),
-        seq=AuxFunction(nu=w.get("nu", 0.0), rho=w.get("rho", 1.0),
-                        w=w.get("w", 1.0)).matching_sequence(),
-        k=k),
+    "general": lambda w, k: _general_weight(
+        AuxFunction(nu=w.get("nu", 0.0), rho=w.get("rho", 1.0), w=w.get("w", 1.0)), k),
 }
+
+
+def _general_weight(f: AuxFunction, k) -> completeness.GeneralWeight:
+    return completeness.GeneralWeight(f=f, seq=f.matching_sequence(), k=k)
 
 
 def cmd_moments(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
@@ -184,14 +192,15 @@ def cmd_moments(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     kind = wcfg["kind"]
     if kind not in _WEIGHT_BUILDERS:
         raise ConfigError(f"unknown weight kind {kind!r}")
-    k = wcfg.get("k", "inf")
-    k = INFINITE if k == "inf" else int(k)
+    k = _k(wcfg.get("k", "inf"))
     try:
         weight = _WEIGHT_BUILDERS[kind](wcfg, k)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad weight parameters: {exc}") from exc
-    n_max = int(wcfg.get("n_max", 4))
-    tol = float(cfg.get("tol", 1e-6))
+        tol = float(cfg.get("tol", 1e-6))
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad weight parameters or tol: {exc}") from exc
+    n_max = _count(wcfg.get("n_max", 4), "n_max")
+    if n_max > k:
+        raise ConfigError(f"n_max = {n_max} exceeds the truncation level k = {k}")
     report = completeness.moment_check(weight, n_max, tol)
     rows = list(report.to_csv_rows())
     _write_rows(rows, ["kind", "n", "target", "value", "residual"], out, fmt)
@@ -200,25 +209,22 @@ def cmd_moments(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
 
 def cmd_sample(cfg: dict[str, Any], out: str | None, fmt: str,
                seed_override: int | None) -> int:
-    seq = _sequence(cfg)
-    k = _k(cfg)
+    seq = _sequence(cfg.get("sequence"))
+    k = _k(cfg.get("k"))
     z = cfg.get("z", {"re": 1.0, "im": 0.0})
-    n_samples = cfg.get("n_samples")
-    if not isinstance(n_samples, int) or n_samples < 1:
+    try:
+        z = complex(z["re"], z["im"])
+    except TypeError as exc:
+        raise ConfigError(f"z must be an object with numbers re and im: {exc}") from exc
+    n_samples = _count(cfg.get("n_samples"), "n_samples")
+    if n_samples < 1:
         raise ConfigError("sample requires a positive integer n_samples")
-    seed = seed_override if seed_override is not None else int(cfg.get("seed", 0))
-    dist = excitation_distribution(StateSpec(seq, k, complex(z["re"], z["im"])))
+    seed = seed_override if seed_override is not None else _count(cfg.get("seed", 0), "seed")
+    dist = excitation_distribution(_spec(seq, k, z))
     run = sampler.sample_counts(dist, n_samples, seed)
-    payload = run.to_json()
-    if fmt == "csv":
-        rows = [{"n": n, "count": int(c)} for n, c in enumerate(run.counts)]
-        _write_rows(rows, ["n", "count"], out, fmt)
-    else:
-        text = json.dumps(payload, indent=2)
-        if out:
-            Path(out).write_text(text + "\n")
-        else:
-            print(text)
+    rows = ([{"n": n, "count": int(c)} for n, c in enumerate(run.counts)]
+            if fmt == "csv" else run.to_json())
+    _write_rows(rows, ["n", "count"], out, fmt)
     return 0
 
 
@@ -293,8 +299,11 @@ def run_verification_suite(tol_override: float | None = None) -> tuple[list[dict
 
 def cmd_verify(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     tol_override = cfg.get("tol")
-    checks, ok = run_verification_suite(
-        float(tol_override) if tol_override is not None else None)
+    try:
+        tol_override = float(tol_override) if tol_override is not None else None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad tol: {exc}") from exc
+    checks, ok = run_verification_suite(tol_override)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['check']}: residual {c['residual']:.3e} "
@@ -304,6 +313,11 @@ def cmd_verify(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     return 0 if ok else 1
 
 
+_COMMANDS = {"probs": cmd_probs, "mandel": cmd_mandel, "corr": cmd_corr,
+             "verify": cmd_verify, "zeros": cmd_zeros, "moments": cmd_moments}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tgcs",
                                      description="Truncated generalized coherent states toolkit")
@@ -323,21 +337,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config else {}
-        if args.command == "probs":
-            return cmd_probs(cfg, args.out, args.format)
-        if args.command == "mandel":
-            return cmd_mandel(cfg, args.out, args.format)
-        if args.command == "corr":
-            return cmd_corr(cfg, args.out, args.format)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.out, args.format)
-        if args.command == "zeros":
-            return cmd_zeros(cfg, args.out, args.format)
-        if args.command == "moments":
-            return cmd_moments(cfg, args.out, args.format)
         if args.command == "sample":
             return cmd_sample(cfg, args.out, args.format, args.seed)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](cfg, args.out, args.format)
     except (ConfigError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

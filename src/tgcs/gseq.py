@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .specfun import QuadratureError
 from scipy import integrate
 
@@ -13,12 +15,16 @@ from scipy import integrate
 class GSequence:
     """Positive arithmetic function g(n) generating a coherent-state family.
 
-    Subclasses implement log_g; g itself is exp(log_g) so that values stay
-    representable well past the overflow point of the direct product forms.
+    Subclasses implement log_g_array; g itself is exp(log_g) so that values
+    stay representable well past the overflow point of the direct product forms.
     """
 
-    def log_g(self, n: int) -> float:
+    def log_g_array(self, n: np.ndarray) -> np.ndarray:
+        """ln g(n) for a 1-D array of indices n >= 0."""
         raise NotImplementedError
+
+    def log_g(self, n: int) -> float:
+        return float(self.log_g_array(np.array([n]))[0])
 
     def g(self, n: int) -> float:
         return math.exp(self.log_g(n))
@@ -44,18 +50,26 @@ class GSequence:
             return Table(tuple(obj["values"]))
         raise ValueError(f"unknown GSequence variant: {variant!r}")
 
-    def _check_n(self, n: int) -> None:
-        if n < 0:
-            raise ValueError(f"sequence index must be >= 0, got {n}")
+
+def _check_n(n: np.ndarray) -> None:
+    # a negative index would otherwise wrap silently in Table lookups
+    if n.size and n.min() < 0:
+        raise ValueError(f"sequence index must be >= 0, got {n.min()}")
+
+
+def _map(f, x: np.ndarray) -> np.ndarray:
+    """f applied element by element: math.lgamma and math.log, not their numpy
+    counterparts, so that array values equal the scalar closed forms bit for bit."""
+    return np.fromiter(map(f, x.tolist()), float, len(x))
 
 
 @dataclass(frozen=True)
 class Factorial(GSequence):
     """g(n) = n!  (the canonical coherent-state sequence)."""
 
-    def log_g(self, n: int) -> float:
-        self._check_n(n)
-        return math.lgamma(n + 1)
+    def log_g_array(self, n: np.ndarray) -> np.ndarray:
+        _check_n(n)
+        return _map(math.lgamma, n + 1)
 
     def to_json(self) -> dict[str, Any]:
         return {"variant": "factorial"}
@@ -72,9 +86,9 @@ class MLGamma(GSequence):
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("MLGamma requires alpha > 0 and beta > 0")
 
-    def log_g(self, n: int) -> float:
-        self._check_n(n)
-        return math.lgamma(self.alpha * n + self.beta)
+    def log_g_array(self, n: np.ndarray) -> np.ndarray:
+        _check_n(n)
+        return _map(math.lgamma, self.alpha * n + self.beta)
 
     def to_json(self) -> dict[str, Any]:
         return {"variant": "ml_gamma", "alpha": self.alpha, "beta": self.beta}
@@ -91,9 +105,9 @@ class WrightProduct(GSequence):
         if self.lam <= 0 or self.mu <= 0:
             raise ValueError("WrightProduct requires lam > 0 and mu > 0")
 
-    def log_g(self, n: int) -> float:
-        self._check_n(n)
-        return math.lgamma(n + 1) + math.lgamma(self.lam * n + self.mu)
+    def log_g_array(self, n: np.ndarray) -> np.ndarray:
+        _check_n(n)
+        return _map(math.lgamma, n + 1) + _map(math.lgamma, self.lam * n + self.mu)
 
     def to_json(self) -> dict[str, Any]:
         return {"variant": "wright_product", "lam": self.lam, "mu": self.mu}
@@ -116,10 +130,10 @@ class G1(GSequence):
         if self.rho <= 0 or self.w <= 0:
             raise ValueError("G1 requires rho > 0 and w > 0")
 
-    def log_g(self, n: int) -> float:
-        self._check_n(n)
+    def log_g_array(self, n: np.ndarray) -> np.ndarray:
+        _check_n(n)
         s = (n + self.nu + 1.0) / self.rho
-        return -math.log(self.rho) - s * math.log(self.w) + math.lgamma(s)
+        return -math.log(self.rho) - s * math.log(self.w) + _map(math.lgamma, s)
 
     def to_json(self) -> dict[str, Any]:
         return {"variant": "g1", "nu": self.nu, "rho": self.rho, "w": self.w}
@@ -137,22 +151,15 @@ class Table(GSequence):
         if any(v <= 0 for v in self.values):
             raise ValueError("Table values must all be positive")
 
-    def log_g(self, n: int) -> float:
-        self._check_n(n)
-        if n >= len(self.values):
-            raise IndexError(f"Table index {n} out of range (length {len(self.values)})")
-        return math.log(self.values[n])
+    def log_g_array(self, n: np.ndarray) -> np.ndarray:
+        _check_n(n)
+        if n.size and n.max() >= len(self.values):
+            raise IndexError(
+                f"Table index {n.max()} out of range (length {len(self.values)})")
+        return _map(math.log, np.asarray(self.values)[n])
 
     def to_json(self) -> dict[str, Any]:
         return {"variant": "table", "values": list(self.values)}
-
-
-def g_eval(seq: GSequence, n: int) -> float:
-    return seq.g(n)
-
-
-def log_g_eval(seq: GSequence, n: int) -> float:
-    return seq.log_g(n)
 
 
 @dataclass(frozen=True)

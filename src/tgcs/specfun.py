@@ -147,12 +147,10 @@ def truncated_series_scaled(g: "GSequence", k: int, z: complex) -> tuple[complex
     z = complex(z)
     if z == 0:
         return 1.0, -g.log_g(0)
-    log_g = np.array([g.log_g(n) for n in range(k + 1)])
     n = np.arange(k + 1)
-    log_mag = n * math.log(abs(z)) - log_g
-    shift = float(log_mag.max())
-    phase = z / abs(z)
-    terms = np.exp(log_mag - shift) * phase ** n
+    log_mag = n * math.log(abs(z)) - g.log_g_array(n)
+    shift, mag = _scaled_exp(log_mag)
+    terms = mag * (z / abs(z)) ** n
     # ascending-magnitude summation keeps the small terms from being swamped
     order = np.argsort(log_mag)
     total = complex(np.sum(terms[order]))
@@ -161,10 +159,23 @@ def truncated_series_scaled(g: "GSequence", k: int, z: complex) -> tuple[complex
 
 def log_truncated_series(g: "GSequence", k: int, log_u: float) -> float:
     """ln of sum_{n=0}^{k} u^n / g(n) for u = exp(log_u) > 0."""
-    log_g = np.array([g.log_g(n) for n in range(k + 1)])
-    lt = np.arange(k + 1) * log_u - log_g
-    m = float(lt.max())
-    return m + math.log(float(np.sum(np.exp(lt - m))))
+    n = np.arange(k + 1)
+    return _log_sum_exp(n * log_u - g.log_g_array(n))
+
+
+def _scaled_exp(log_terms: np.ndarray) -> tuple[float, np.ndarray]:
+    """(m, exp(log_terms - m)) with m = max(log_terms): the one max shift behind
+    every positive log-series here, whose sums overflow long before their logs."""
+    m = float(np.max(log_terms))
+    return m, np.exp(log_terms - m)
+
+
+def _log_sum_exp(log_terms: np.ndarray) -> float:
+    """ln sum exp(log_terms); -inf for the empty sum."""
+    if len(log_terms) == 0:
+        return -math.inf
+    m, w = _scaled_exp(log_terms)
+    return m + math.log(float(np.sum(w)))
 
 
 def kratzel_kernel(p: KratzelParams, u: float, rel_tol: float = 1e-8) -> float:

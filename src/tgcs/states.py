@@ -9,9 +9,12 @@ from typing import Any
 import numpy as np
 
 from .gseq import Factorial, GSequence, Table
-from .specfun import (DEFAULT_POLICY, SeriesEvalPolicy, truncated_series_scaled)
+from .specfun import (DEFAULT_POLICY, SeriesEvalPolicy, _log_sum_exp, _scaled_exp,
+                      truncated_series_scaled)
 
 INFINITE = math.inf
+# one term budget for the infinite-k convergence probe and summation
+MAX_TERMS = 1 << 21
 
 
 class DivergenceError(ValueError):
@@ -39,6 +42,9 @@ class StateSpec:
         else:
             if self.k != int(self.k) or self.k < 0:
                 raise ValueError(f"k must be a nonnegative integer or INFINITE, got {self.k}")
+            if isinstance(self.seq, Table) and self.k >= len(self.seq.values):
+                raise ValueError(f"k = {self.k} runs past the end of the Table "
+                                 f"({len(self.seq.values)} values)")
             object.__setattr__(self, "k", int(self.k))
 
     @property
@@ -82,88 +88,84 @@ class FockVector:
 def _probe_convergence(seq: GSequence, u: float) -> None:
     """Ratio-test probe for sum u^n / g(n).
 
-    Passes as soon as the log-increment of g exceeds ln u at some geometric
-    checkpoint; g grows at least like a power of Gamma for every parametric
-    variant, so convergent series clear an early checkpoint.
+    Passes when the log-increment of g exceeds ln u at a checkpoint n = 256,
+    512, ..., MAX_TERMS; g grows at least like a power of Gamma for every
+    parametric variant, so convergent series clear an early checkpoint.
     """
     if u == 0:
         return
-    log_u = math.log(u)
-    n = 256
-    while n <= 1 << 21:
-        if seq.log_g(n + 1) - seq.log_g(n) > log_u + 1e-9:
-            return
-        n *= 2
+    n = 2 ** np.arange(8, MAX_TERMS.bit_length())
+    log_g = seq.log_g_array(np.concatenate((n, n + 1)))
+    if np.any(log_g[len(n):] - log_g[:len(n)] > math.log(u) + 1e-9):
+        return
     raise DivergenceError(
-        f"normalization series fails ratio probe up to n={n // 2} for u={u:g}")
+        f"normalization series fails ratio probe up to n={MAX_TERMS} for u={u:g}")
 
 
-def _effective_k(seq: GSequence, u: float, policy: SeriesEvalPolicy) -> int:
-    """Truncation level at which the infinite series tail is below abs_tol."""
-    if u == 0:
-        return 0
-    log_u = math.log(u)
-    log_terms = [-seq.log_g(0)]
-    n = 0
-    best = log_terms[0]
-    # slow-growing g (G1 with rho near 2) can need ~rho*w*u^rho terms
-    cap = max(policy.max_terms, 200_000)
-    while n < cap:
-        n += 1
-        lt = n * log_u - seq.log_g(n)
-        log_terms.append(lt)
-        best = max(best, lt)
-        ratio = lt - log_terms[n - 1]
-        if ratio < 0:
-            # geometric tail bound: term / (1 - ratio)
-            tail = lt - math.log1p(-math.exp(ratio))
-            # extra 1e-4 margin keeps moment sums clean at the 1e-12 level
-            if tail < math.log(policy.abs_tol * 1e-4) + best:
-                return n
-    raise DivergenceError("could not find an effective truncation level")
+def _adaptive_log_terms(seq: GSequence, log_u: float,
+                        policy: SeriesEvalPolicy) -> np.ndarray:
+    """ln(u^n / g(n)) for n = 0..k, k the first level whose tail is below abs_tol.
+
+    The tail past a decreasing term is bounded by the geometric series of its
+    ratio to the previous term.  The search doubles the number of terms from
+    64, computing only the new half each round, up to MAX_TERMS.
+    """
+    # extra 1e-4 margin keeps moment sums clean at the 1e-12 level
+    log_tol = math.log(policy.abs_tol * 1e-4)
+    lt = np.empty(0)
+    best = -math.inf
+    size = 64
+    while size <= MAX_TERMS:
+        n = np.arange(len(lt), size)
+        new = n * log_u - seq.log_g_array(n)
+        # the largest term so far, at each new n
+        best_n = np.maximum.accumulate(np.maximum(new, best))
+        best = float(best_n[-1])
+        # the rule applies from n = 1 on
+        lo = max(len(lt), 1)
+        best_n = best_n[lo - len(lt):]
+        lt = np.concatenate((lt, new))
+        ratio = lt[lo:] - lt[lo - 1:-1]
+        falling = np.flatnonzero(ratio < 0)
+        tail = lt[lo:][falling] - np.log1p(-np.exp(ratio[falling]))
+        done = falling[tail < log_tol + best_n[falling]]
+        if done.size:
+            return lt[:lo + done[0] + 1]
+        size *= 2
+    raise DivergenceError(
+        f"no effective truncation level within {MAX_TERMS} terms")
 
 
 def _log_terms(spec: StateSpec, policy: SeriesEvalPolicy) -> np.ndarray:
     """ln(u^n / g(n)) for n = 0..k (k adaptive when infinite)."""
     u = spec.u
-    if spec.k == INFINITE:
-        k = _effective_k(spec.seq, u, policy)
-    else:
-        k = int(spec.k)
-    log_g = np.array([spec.seq.log_g(n) for n in range(k + 1)])
+    if spec.k == INFINITE and u != 0:
+        return _adaptive_log_terms(spec.seq, math.log(u), policy)
+    k = 0 if spec.k == INFINITE else int(spec.k)
+    n = np.arange(k + 1)
+    log_g = spec.seq.log_g_array(n)
     if u == 0:
         lt = np.full(k + 1, -np.inf)
         lt[0] = -log_g[0]
         return lt
-    return np.arange(k + 1) * math.log(u) - log_g
+    return n * math.log(u) - log_g
 
 
 def normalization(spec: StateSpec, policy: SeriesEvalPolicy = DEFAULT_POLICY) -> float:
     """N_{k,g}(|z|^2) = sum_{n=0}^{k} |z|^(2n) / g(n)."""
-    lt = _log_terms(spec, policy)
-    m = float(np.max(lt))
-    total = float(np.sum(np.exp(lt - m)))
-    # the sum itself can exceed the double range (e.g. exp(u^rho) growth)
-    return math.exp(m) * total if m + math.log(total) < 709.0 else math.inf
+    return excitation_distribution(spec, policy).norm
 
 
 def log_normalization(spec: StateSpec, policy: SeriesEvalPolicy = DEFAULT_POLICY) -> float:
-    lt = _log_terms(spec, policy)
-    m = float(np.max(lt))
-    return m + math.log(float(np.sum(np.exp(lt - m))))
+    return _log_sum_exp(_log_terms(spec, policy))
 
 
 def excitation_distribution(spec: StateSpec,
                             policy: SeriesEvalPolicy = DEFAULT_POLICY) -> ExcitationDistribution:
     """p(n) = |z|^(2n) / (N g(n)); the Kronecker distribution at z = 0."""
-    lt = _log_terms(spec, policy)
-    if spec.u == 0:
-        probs = np.zeros(len(lt))
-        probs[0] = 1.0
-        return ExcitationDistribution(probs, math.exp(lt[0]))
-    m = float(np.max(lt))
-    w = np.exp(lt - m)
+    m, w = _scaled_exp(_log_terms(spec, policy))
     total = float(np.sum(w))
+    # the sum itself can exceed the double range (e.g. exp(u^rho) growth)
     norm = math.exp(m) * total if m + math.log(total) < 709.0 else math.inf
     return ExcitationDistribution(w / total, norm)
 
@@ -172,16 +174,10 @@ def amplitudes(spec: StateSpec) -> np.ndarray:
     """Fock coefficients N^(-1/2) z^n / sqrt(g(n)) for n = 0..k (finite k)."""
     if spec.k == INFINITE:
         raise ValueError("amplitudes requires a finite truncation level")
-    lt = _log_terms(spec, DEFAULT_POLICY)
-    if spec.u == 0:
-        out = np.zeros(len(lt), dtype=complex)
-        out[0] = 1.0
-        return out
-    m = float(np.max(lt))
-    w = np.exp(lt - m)
+    _, w = _scaled_exp(_log_terms(spec, DEFAULT_POLICY))
     mags = np.sqrt(w / float(np.sum(w)))
-    phase = spec.z / abs(spec.z)
-    return mags * phase ** np.arange(len(lt))
+    phase = spec.z / abs(spec.z) if spec.z != 0 else 1.0 + 0.0j
+    return mags * phase ** np.arange(len(w))
 
 
 def overlap(a: StateSpec, b: StateSpec,
@@ -207,10 +203,8 @@ def bargmann_poly(phi: FockVector, seq: GSequence, k: int, zbar: complex) -> com
     coeffs = phi.coeffs
     if len(coeffs) != k + 1:
         raise ValueError(f"FockVector must have k+1 = {k + 1} entries, got {len(coeffs)}")
-    total = 0.0 + 0.0j
-    for n in range(k, -1, -1):
-        total = total * zbar + coeffs[n] * math.exp(-0.5 * seq.log_g(n))
-    return total
+    scaled = coeffs * np.exp(-0.5 * seq.log_g_array(np.arange(k + 1)))
+    return complex(np.polyval(scaled[::-1], zbar))
 
 
 def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
@@ -225,13 +219,13 @@ def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
 
     if len(psi.coeffs) != k + 1 or len(phi.coeffs) != k + 1:
         raise ValueError("FockVectors must have k+1 entries")
+    inv_g = np.exp(-seq.log_g_array(np.arange(k + 1)))
     total = 0.0 + 0.0j
     for n in range(k + 1):
         c = np.conj(psi.coeffs[n]) * phi.coeffs[n]
         if c == 0:
             continue
-        moment = weight_radial_moment(weight, n, tol=tol)
-        total += c * moment * math.exp(-seq.log_g(n))
+        total += c * weight_radial_moment(weight, n, tol=tol) * inv_g[n]
     return total
 
 

@@ -10,6 +10,7 @@ from typing import Any
 import numpy as np
 
 from .gseq import AsymptoticFamily, GSequence, asymptotic_leading_term
+from .specfun import _log_sum_exp
 from .states import (DEFAULT_POLICY, INFINITE, ExcitationDistribution, StateSpec,
                      excitation_distribution)
 
@@ -69,30 +70,27 @@ def mandel_q(spec: StateSpec, policy=DEFAULT_POLICY) -> QReport:
     return QReport(q=q, mean_n=mean, var_n=var, regime=_classify(q))
 
 
-def _log_weighted_sum(seq: GSequence, u: float, k: int, offset: int,
-                      weight) -> float:
-    """ln sum_{n=0}^{k-offset} weight(n) u^n / g(n+offset); weight(n) > 0."""
-    terms = []
-    log_u = math.log(u)
-    for n in range(k - offset + 1):
-        terms.append(math.log(weight(n)) + n * log_u - seq.log_g(n + offset))
-    m = max(terms)
-    return m + math.log(sum(math.exp(t - m) for t in terms))
+def _log_weighted_sum(log_g: np.ndarray, log_u: float, offset: int,
+                      log_weight) -> float:
+    """ln sum_{n=0}^{k-offset} weight(n) u^n / g(n+offset), log_g = ln g(0..k)."""
+    n = np.arange(len(log_g) - offset)
+    return _log_sum_exp(log_weight(n) + n * log_u - log_g[offset:])
 
 
 def mandel_q_closed_form(seq: GSequence, k: int, u: float) -> float:
-    """Q_k(u) from the three-series closed form (finite k >= 1), cross-check path."""
+    """Q_k(u) from the three-series closed form (finite k >= 1), cross-check path.
+
+    At k = 1 the first series is empty and Q_1 = -g(0) u / (g(1) + g(0) u).
+    """
     if u <= 0:
         raise UndefinedAtOriginError("Mandel Q is undefined at z = 0")
     if k < 1:
         raise ValueError("closed form requires k >= 1")
-    if k == 1:
-        # Q_1 = -g(0) u / (g(1) + g(0) u), manifestly negative
-        g0, g1 = seq.g(0), seq.g(1)
-        return -g0 * u / (g1 + g0 * u)
-    s2 = _log_weighted_sum(seq, u, k, 2, lambda n: (n + 1) * (n + 2))
-    s1 = _log_weighted_sum(seq, u, k, 1, lambda n: n + 1.0)
-    s0 = _log_weighted_sum(seq, u, k, 0, lambda n: 1.0)
+    log_g = seq.log_g_array(np.arange(k + 1))
+    log_u = math.log(u)
+    s2 = _log_weighted_sum(log_g, log_u, 2, lambda n: np.log((n + 1.0) * (n + 2.0)))
+    s1 = _log_weighted_sum(log_g, log_u, 1, lambda n: np.log(n + 1.0))
+    s0 = _log_weighted_sum(log_g, log_u, 0, lambda n: 0.0)
     return u * (math.exp(s2 - s1) - math.exp(s1 - s0))
 
 

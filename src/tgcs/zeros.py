@@ -9,6 +9,7 @@ from typing import Iterable
 import numpy as np
 
 from .gseq import GSequence
+from .specfun import _scaled_exp
 from .states import StateSpec
 
 MAX_DEGREE = 100
@@ -42,12 +43,10 @@ def polynomial_roots(seq: GSequence, k: int) -> RootSet:
         raise ValueError("polynomial_roots requires k >= 1")
     if k > MAX_DEGREE:
         raise RootFindingError(f"degree {k} exceeds the supported cap {MAX_DEGREE}")
-    log_g = np.array([seq.log_g(n) for n in range(k + 1)])
-    log_s = (log_g[k] - log_g[0]) / k
     n = np.arange(k + 1)
-    log_coeff = n * log_s - log_g
-    log_coeff -= log_coeff.max()
-    coeff = np.exp(log_coeff)  # ascending powers of y
+    log_g = seq.log_g_array(n)
+    log_s = (log_g[k] - log_g[0]) / k
+    _, coeff = _scaled_exp(n * log_s - log_g)  # ascending powers of y
     roots_y = np.roots(coeff[::-1])
 
     dcoeff = coeff[1:] * np.arange(1, k + 1)

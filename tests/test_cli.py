@@ -177,8 +177,31 @@ class TestVerifyAndErrors:
     def test_missing_file_is_config_error(self):
         assert main(["probs", "--config", "/nonexistent/cfg.json"]) == 2
 
-    def test_bad_grid_is_config_error(self, tmp_path):
-        cfg = write_config(tmp_path, "cfg.json", {
-            "sequence": ML_HALF, "k": 4,
-            "z_grid": {"min": 0.0, "max": 1.0, "points": 0}})
-        assert main(["probs", "--config", cfg]) == 2
+    @pytest.mark.parametrize("command, cfg", [
+        ("probs", {"sequence": ML_HALF, "k": 4,
+                   "z_grid": {"min": 0.0, "max": 1.0, "points": 0}}),
+        ("probs", {"sequence": ML_HALF, "k": 4, "n_range": [-1, 1],
+                   "z_grid": {"min": 0.0, "max": 1.0, "points": 2}}),
+        ("probs", {"sequence": ML_HALF, "k": 4, "n_range": [0, 5],
+                   "z_grid": {"min": 0.0, "max": 1.0, "points": 2}}),
+        ("probs", {"sequence": ML_HALF, "k": True,
+                   "z_grid": {"min": 0.0, "max": 1.0, "points": 2}}),
+        ("probs", {"sequence": {"variant": "table", "values": [1.0, 2.0]}, "k": 4,
+                   "z_grid": {"min": 0.0, "max": 1.0, "points": 2}}),
+        ("mandel", {"sequence": ML_HALF, "k": 10,
+                    "z_grid": {"min": 0.5, "max": 1.0, "points": 2},
+                    "param_sweep": {"name": "alpha", "min": 0.0, "max": 1.0,
+                                    "points": 3}}),
+        ("corr", {"sequence": {"variant": "ml_gamma", "alpha": 0.2236, "beta": 1.32},
+                  "k": "inf", "z_grid": {"min": 8.98, "max": 8.98, "points": 1}}),
+        ("zeros", {"sequence": {"variant": "factorial"}, "k": 101}),
+        ("moments", {"weight": {"kind": "ml", "alpha": 1.0, "beta": 1.0, "k": "five"}}),
+        ("moments", {"weight": {"kind": "ml", "alpha": 1.0, "beta": 1.0, "k": 2,
+                                "n_max": 4}}),
+    ], ids=["bad-grid", "negative-n", "n-past-k", "bool-k", "k-past-table",
+            "invalid-sweep-value", "divergent-series", "degree-past-cap",
+            "non-integer-weight-k", "n-max-past-k"])
+    def test_bad_config_is_refused(self, tmp_path, capsys, command, cfg):
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert main([command, "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,29 @@ from tgcs.gseq import (AsymptoticFamily, AsymptoticTerm, AuxFunction, Factorial,
                        G1, GSequence, MLGamma, Table, WrightProduct,
                        asymptotic_leading_term, mellin_transform,
                        verify_mellin_link)
+from tgcs.states import random_state_spec
+
+
+def reference_log_g(seq, n: int) -> float:
+    """The scalar closed forms ln g(n), one Python float at a time."""
+    if isinstance(seq, Factorial):
+        return math.lgamma(n + 1)
+    if isinstance(seq, MLGamma):
+        return math.lgamma(seq.alpha * n + seq.beta)
+    if isinstance(seq, WrightProduct):
+        return math.lgamma(n + 1) + math.lgamma(seq.lam * n + seq.mu)
+    if isinstance(seq, G1):
+        s = (n + seq.nu + 1.0) / seq.rho
+        return -math.log(seq.rho) - s * math.log(seq.w) + math.lgamma(s)
+    return math.log(seq.values[n])
+
+
+sequences = st.one_of(
+    st.integers(0, 2 ** 32 - 1).map(
+        lambda seed: random_state_spec(np.random.default_rng(seed),
+                                       allow_infinite=False).seq),
+    st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=40).map(
+        lambda values: Table(tuple(values))))
 
 
 class TestSequenceValues:
@@ -59,6 +83,31 @@ class TestSequenceValues:
             Table((1.0, -2.0))
         with pytest.raises(ValueError):
             Factorial().g(-1)
+
+
+class TestLogGArray:
+    @given(sequences, st.integers(1, 400))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_closed_forms_bit_for_bit(self, seq, size):
+        if isinstance(seq, Table):
+            size = len(seq.values)
+        reference = [reference_log_g(seq, n) for n in range(size)]
+        assert seq.log_g_array(np.arange(size)).tolist() == reference
+        assert [seq.log_g(n) for n in range(size)] == reference
+
+    @given(sequences)
+    @settings(max_examples=30, deadline=None)
+    def test_index_errors_on_scalar_and_array_paths(self, seq):
+        with pytest.raises(ValueError):
+            seq.log_g(-1)
+        with pytest.raises(ValueError):
+            seq.log_g_array(np.array([0, -1]))
+        if isinstance(seq, Table):
+            end = len(seq.values)
+            with pytest.raises(IndexError):
+                seq.log_g(end)
+            with pytest.raises(IndexError):
+                seq.log_g_array(np.arange(end + 1))
 
 
 class TestJsonRoundTrip:

@@ -13,7 +13,8 @@ from tgcs.specfun import mittag_leffler, wright
 from tgcs.states import (DivergenceError, FockVector, INFINITE,
                          IncompatibleSpecError, StateSpec, amplitudes,
                          bargmann_inner_product, bargmann_poly,
-                         excitation_distribution, normalization, overlap,
+                         excitation_distribution, log_normalization,
+                         normalization, overlap,
                          random_state_spec)
 
 
@@ -103,6 +104,18 @@ class TestExcitationDistribution:
         dist = excitation_distribution(spec)
         assert abs(float(np.sum(dist.probs)) - 1.0) <= 1e-12
         assert np.all(dist.probs >= 0.0)
+
+    def test_slow_mittag_leffler_series_is_summed(self):
+        # MLGamma(0.2149, 2.0167) at u = 12.74: the terms peak near n = 6.5e5
+        spec = random_state_spec(np.random.default_rng(75168))
+        assert isinstance(spec.seq, MLGamma) and spec.k == INFINITE
+        dist = excitation_distribution(spec)
+        assert abs(float(np.sum(dist.probs)) - 1.0) <= 1e-12
+        # ln E_{a,b}(u) ~ ln(1/a) + (1-b)/a ln u + u^(1/a) (Gorenflo et al.,
+        # Mittag-Leffler Functions, Springer), up to terms smaller by e^(-u^(1/a))
+        a, b, u = spec.seq.alpha, spec.seq.beta, spec.u
+        asymptotic = math.log(1.0 / a) + (1.0 - b) / a * math.log(u) + u ** (1.0 / a)
+        assert log_normalization(spec) == pytest.approx(asymptotic, rel=1e-12)
 
     def test_small_label_decay_rate(self):
         # p(n) ~ (g(0)/g(n)) |z|^(2n) as |z| -> 0
