@@ -6,11 +6,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from scipy import integrate
+import numpy as np
 
 from .gseq import AuxFunction, GSequence
-from .specfun import (KratzelParams, QuadratureError, kratzel_kernel,
-                      mittag_leffler, wright)
+from .specfun import KratzelParams, kratzel_kernel, mittag_leffler, wright
 from .states import INFINITE
 from . import specfun
 
@@ -21,20 +20,15 @@ class QuadratureResult:
     error: float
 
 
+def _integrate(g, tol: float, lo: float = -700.0, hi: float = 700.0) -> QuadratureResult:
+    """int g(t) dt over [lo, hi] of one integrand on the log axis t = ln u."""
+    return QuadratureResult(*specfun._trapezoid(g, tol, lo, hi)[:, 0].tolist())
+
+
 def quadrature_improper(f: Callable[[float], float], tol: float = 1e-8) -> QuadratureResult:
-    """int_0^inf f(u) du via the u = exp(t) substitution and adaptive quadrature."""
-
-    def integrand(t: float) -> float:
-        u = math.exp(t)
-        return f(u) * u
-
-    # +-700 on the log axis spans the full double range; integrands vanish there
-    val, err = integrate.quad(integrand, -700.0, 700.0, limit=400,
-                              points=[-100.0, -10.0, 0.0, 10.0, 100.0],
-                              epsabs=tol * 1e-3, epsrel=tol)
-    if err > tol * max(1.0, abs(val)) * 10:
-        raise QuadratureError("improper integral did not converge", val, err)
-    return QuadratureResult(value=val, error=err)
+    """int_0^inf f(u) du by the trapezoid rule on t = ln u, f mapped over the nodes."""
+    return _integrate(
+        lambda t: np.fromiter((f(u) * u for u in np.exp(t).tolist()), float, t.size), tol)
 
 
 class WeightFunction:
@@ -78,12 +72,13 @@ class CanonicalTruncatedWeight(WeightFunction):
 
     def cancelled_moment(self, n: int, tol: float) -> QuadratureResult:
         # no analytic cancellation exists here; integrate the raw quotient
-        def f(u: float) -> float:
-            if u > 700.0:
-                return 0.0
-            return math.exp(-u) * _exp_partial(self.k, -u) / _exp_partial(self.k, u) * u ** n
+        def f(t: np.ndarray) -> np.ndarray:
+            # held at u = 700 beyond it, where e^-u makes the integrand negligible
+            # and the partial sums would overflow
+            u = np.exp(np.minimum(t, math.log(700.0)))
+            return np.exp(-u) * _exp_partial(self.k, -u) / _exp_partial(self.k, u) * u ** (n + 1)
 
-        return quadrature_improper(f, tol)
+        return _integrate(f, tol)
 
     def label(self) -> str:
         return f"canonical-truncated(k={self.k})"
@@ -118,14 +113,8 @@ class MLWeight(WeightFunction):
 
     def cancelled_moment(self, n: int, tol: float) -> QuadratureResult:
         a, b = self.alpha, self.beta
-
-        def f(u: float) -> float:
-            if math.log(u) / a > 700.0:
-                return 0.0
-            arg = (b / a - 1.0 + n) * math.log(u) - u ** (1.0 / a)
-            return math.exp(arg) / a if arg > -700.0 else 0.0
-
-        return quadrature_improper(f, tol)
+        return _integrate(
+            lambda t: np.exp((b / a + n) * t - np.exp(np.minimum(t / a, 700.0))) / a, tol)
 
     def label(self) -> str:
         k = "inf" if self.k == INFINITE else int(self.k)
@@ -158,15 +147,14 @@ class WrightWeight(WeightFunction):
 
     def cancelled_moment(self, n: int, tol: float) -> QuadratureResult:
         params = KratzelParams(self.lam, self.mu)
-
-        def f(u: float) -> float:
-            z = kratzel_kernel(params, u, rel_tol=min(1e-9, tol * 1e-2))
-            if z == 0.0:
-                return 0.0
-            arg = n * math.log(u) + math.log(z)
-            return math.exp(arg) if arg < 700.0 else math.inf
-
-        return quadrature_improper(f, tol)
+        inner_tol = min(1e-9, tol * 1e-2)
+        # u^(n+1) Z(u) falls like exp((n + min(1, mu/lam)) t) on the left (cut
+        # at -700, where Z itself may pass the double range) and is 0 past
+        # ln u = lam ln 700 + 9, where the kernel's window closes
+        return _integrate(
+            lambda t: np.exp((n + 1) * t) * specfun._kratzel(params, t, inner_tol), tol,
+            max(-60.0 / (n + min(1.0, self.mu / self.lam)), -700.0),
+            self.lam * math.log(700.0) + 9.0)
 
     def label(self) -> str:
         k = "inf" if self.k == INFINITE else int(self.k)
@@ -202,22 +190,15 @@ class GeneralWeight(WeightFunction):
         return self.seq.g(n)
 
     def cancelled_moment(self, n: int, tol: float) -> QuadratureResult:
-        def g(u: float) -> float:
-            fu = self.f(u)
-            if fu == 0.0:
-                return 0.0
-            arg = n * math.log(u) + math.log(fu)
-            return math.exp(arg) if arg < 700.0 else math.inf
-
-        return quadrature_improper(g, tol)
+        return _integrate(lambda t: self.f.on_log_axis(t, n + 1), tol)
 
     def label(self) -> str:
         k = "inf" if self.k == INFINITE else int(self.k)
         return f"general(nu={self.f.nu},rho={self.f.rho},w={self.f.w},k={k})"
 
 
-def _exp_partial(k: int, x: float) -> float:
-    """Partial exponential sum_{n=0}^{k} x^n / n! (real x, either sign)."""
+def _exp_partial(k: int, x):
+    """Partial exponential sum_{n=0}^{k} x^n / n! (real x or an array, either sign)."""
     total = 1.0
     term = 1.0
     for n in range(1, k + 1):

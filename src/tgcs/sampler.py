@@ -62,11 +62,18 @@ def sample_counts(dist: ExcitationDistribution, n_samples: int, seed: int) -> Sa
                      q_hat=q_hat, g2_hat=g2_hat, stderr_q=stderr_q)
 
 
-def _jackknife_stderr_q(counts: np.ndarray, s1: float, s2: float, n: float) -> float:
-    """Delete-1 jackknife, grouped by the distinct count values in the histogram."""
+def _jackknife_stderr_q(counts: np.ndarray, s1: float, s2: float,
+                        n: float) -> float | None:
+    """Delete-1 jackknife, grouped by the distinct count values in the histogram.
+
+    None when a single draw is nonzero: deleting it leaves the mean at 0,
+    where Q is undefined, as q_hat is for s1 = 0.
+    """
     vals = np.nonzero(counts)[0]
     if len(vals) < 2:
         return 0.0
+    if s1 == vals[-1]:
+        return None
     q_del = np.empty(len(vals))
     for i, v in enumerate(vals):
         q_del[i] = _q_from_sums(s1 - v, s2 - v * v, n - 1.0)

@@ -38,7 +38,7 @@ class StateSpec:
             if isinstance(self.seq, Table):
                 raise DivergenceError("Table sequences have finite domain; k must be finite")
             if self.z != 0:
-                _probe_convergence(self.seq, abs(self.z) ** 2)
+                _check_term_budget(self.seq, abs(self.z) ** 2)
         else:
             if self.k != int(self.k) or self.k < 0:
                 raise ValueError(f"k must be a nonnegative integer or INFINITE, got {self.k}")
@@ -85,21 +85,45 @@ class FockVector:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
 
 
-def _probe_convergence(seq: GSequence, u: float) -> None:
-    """Ratio-test probe for sum u^n / g(n).
+def _log_tail_tol(policy: SeriesEvalPolicy) -> float:
+    """ln of the tail bound, relative to the largest term, that ends a k = inf sum."""
+    # extra 1e-4 margin keeps moment sums clean at the 1e-12 level
+    return math.log(policy.abs_tol * 1e-4)
 
-    Passes when the log-increment of g exceeds ln u at a checkpoint n = 256,
-    512, ..., MAX_TERMS; g grows at least like a power of Gamma for every
-    parametric variant, so convergent series clear an early checkpoint.
+
+def _check_term_budget(seq: GSequence, u: float) -> None:
+    """Refuse a k = inf series that _adaptive_log_terms cannot sum in MAX_TERMS terms.
+
+    The terms u^n / g(n) of every parametric variant are log-concave in n
+    (ln g is convex), so once the search's stopping rule holds it holds at
+    every later n: the search succeeds exactly when the rule holds at
+    n = MAX_TERMS - 1.  The largest term it compares with is first bounded
+    below on a geometric grid of n, and only when that does not settle the
+    rule found by bisection on the increments.  Decided for DEFAULT_POLICY;
+    a smaller abs_tol can still fail in the search itself.
     """
-    if u == 0:
-        return
-    n = 2 ** np.arange(8, MAX_TERMS.bit_length())
-    log_g = seq.log_g_array(np.concatenate((n, n + 1)))
-    if np.any(log_g[len(n):] - log_g[:len(n)] > math.log(u) + 1e-9):
-        return
+    log_u = math.log(u)
+
+    def log_terms(n) -> np.ndarray:
+        n = np.asarray(n)
+        return n * log_u - seq.log_g_array(n)
+
+    last = MAX_TERMS - 1
+    lt = log_terms(np.concatenate(([0], 2 ** np.arange(last.bit_length()), [last - 1, last])))
+    ratio = lt[-1] - lt[-2]
+    if ratio < 0:
+        limit = lt[-1] - np.log1p(-np.exp(ratio)) - _log_tail_tol(DEFAULT_POLICY)
+        if lt.max() > limit:
+            return
+        lo, hi = 0, last  # the first falling n lies in (lo, hi]; the peak is just before it
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            a, b = log_terms([mid - 1, mid])
+            lo, hi = (lo, mid) if b < a else (mid, hi)
+        if log_terms([hi - 1])[0] > limit:
+            return
     raise DivergenceError(
-        f"normalization series fails ratio probe up to n={MAX_TERMS} for u={u:g}")
+        f"normalization series needs more than {MAX_TERMS} terms for u={u:g}")
 
 
 def _adaptive_log_terms(seq: GSequence, log_u: float,
@@ -110,8 +134,7 @@ def _adaptive_log_terms(seq: GSequence, log_u: float,
     ratio to the previous term.  The search doubles the number of terms from
     64, computing only the new half each round, up to MAX_TERMS.
     """
-    # extra 1e-4 margin keeps moment sums clean at the 1e-12 level
-    log_tol = math.log(policy.abs_tol * 1e-4)
+    log_tol = _log_tail_tol(policy)
     lt = np.empty(0)
     best = -math.inf
     size = 64

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tgcs
 from tgcs.cli import main
 
 ML_HALF = {"variant": "ml_gamma", "alpha": 0.5, "beta": 0.5}
@@ -158,11 +163,14 @@ class TestSample:
 
 
 class TestVerifyAndErrors:
+    @pytest.mark.filterwarnings("error")
     def test_default_suite_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
+    # the unattainable tolerance fails through QuadratureError, not a warning
+    @pytest.mark.filterwarnings("error")
     def test_unattainable_tolerance_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {"tol": 1e-16})
         assert main(["verify", "--config", cfg]) == 1
@@ -194,14 +202,29 @@ class TestVerifyAndErrors:
                                     "points": 3}}),
         ("corr", {"sequence": {"variant": "ml_gamma", "alpha": 0.2236, "beta": 1.32},
                   "k": "inf", "z_grid": {"min": 8.98, "max": 8.98, "points": 1}}),
+        ("corr", {"sequence": {"variant": "ml_gamma", "alpha": 0.25, "beta": 1.0},
+                  "k": "inf", "z_grid": {"min": 26.9 ** 0.5, "max": 26.9 ** 0.5,
+                                         "points": 1}}),
         ("zeros", {"sequence": {"variant": "factorial"}, "k": 101}),
         ("moments", {"weight": {"kind": "ml", "alpha": 1.0, "beta": 1.0, "k": "five"}}),
         ("moments", {"weight": {"kind": "ml", "alpha": 1.0, "beta": 1.0, "k": 2,
                                 "n_max": 4}}),
     ], ids=["bad-grid", "negative-n", "n-past-k", "bool-k", "k-past-table",
-            "invalid-sweep-value", "divergent-series", "degree-past-cap",
-            "non-integer-weight-k", "n-max-past-k"])
+            "invalid-sweep-value", "divergent-series", "past-term-budget",
+            "degree-past-cap", "non-integer-weight-k", "n-max-past-k"])
     def test_bad_config_is_refused(self, tmp_path, capsys, command, cfg):
         path = write_config(tmp_path, "cfg.json", cfg)
         assert main([command, "--config", path]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; the package itself must not load it
+    src = str(Path(tgcs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, tgcs, tgcs.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight
                                WrightWeight, moment_check, quadrature_improper,
                                weight_eval, weight_radial_moment)
 from tgcs.gseq import AuxFunction, G1
+from tgcs.specfun import QuadratureError
 from tgcs.states import INFINITE
 
 
@@ -24,6 +26,19 @@ class TestQuadratureImproper:
     def test_gaussian(self):
         res = quadrature_improper(lambda u: math.exp(-u * u))
         assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_integrand_raises(self, bad):
+        with pytest.raises(QuadratureError):
+            quadrature_improper(lambda u: bad if 1.0 < u < 2.0 else math.exp(-u))
+
+    def test_tolerance_below_rounding_raises(self):
+        # the error estimate never falls below the rounding floor eps * |sum|
+        with pytest.raises(QuadratureError) as exc:
+            quadrature_improper(lambda u: math.exp(-u), tol=1e-20)
+        assert exc.value.value == pytest.approx(1.0, rel=1e-13)
+        with pytest.raises(QuadratureError):
+            MLWeight(1.0, 1.0).cancelled_moment(2, 1e-20)
 
 
 class TestWeightEval:
@@ -85,6 +100,12 @@ class TestMomentCheck:
         # n = 2 target: 2! * Gamma(3) = 4
         assert rep.rows[2].target == pytest.approx(4.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_wright_with_mu_below_lam(self):
+        # Z(u) ~ u^(mu/lam - 1) at small u: the outer window's left tail is slowest here
+        rep = moment_check(WrightWeight(1.0, 0.5, INFINITE), 3, 1e-8)
+        assert rep.passed
+
     def test_general_matched_pair(self):
         f = AuxFunction(1.0, 2.0, 1.0)
         rep = moment_check(GeneralWeight(f, f.matching_sequence(), INFINITE), 6, 1e-6)
@@ -96,6 +117,15 @@ class TestMomentCheck:
         rep = moment_check(CanonicalTruncatedWeight(3), 3, 1e-8)
         assert len(rep.rows) == 4
         assert all(math.isfinite(r.residual) for r in rep.rows)
+
+    def test_canonical_truncated_k1_closed_form(self):
+        # k = 1: pi^-1 e^-u (1 - u) changes sign at u = 1, a node of the trimming
+        # grid, where a cut support once lost the negative lobe;
+        # int e^-u (1-u)/(1+u) u^n du = +-(2e E1(1) - 1) for n = 0, 1
+        exact = 2.0 * math.e * float(mpmath.e1(1)) - 1.0
+        rep = moment_check(CanonicalTruncatedWeight(1), 1, 1e-8)
+        assert rep.rows[0].value == pytest.approx(exact, rel=1e-12)
+        assert rep.rows[1].value == pytest.approx(-exact, rel=1e-12)
 
     def test_csv_rows_schema(self):
         rep = moment_check(MLWeight(1.0, 1.0, INFINITE), 2, 1e-8)

@@ -133,6 +133,13 @@ class TestAuxFunction:
             assert mellin_transform(f, s) == pytest.approx(
                 f.mellin_closed_form(s), rel=1e-8)
 
+    @given(nu=st.floats(0.0, 2.0), rho=st.floats(0.5, 2.0), w=st.floats(0.5, 2.0),
+           s=st.floats(1.0, 9.0))
+    @settings(max_examples=60, deadline=None)
+    def test_transform_matches_closed_form(self, nu, rho, w, s):
+        f = AuxFunction(nu=nu, rho=rho, w=w)
+        assert mellin_transform(f, s) == pytest.approx(f.mellin_closed_form(s), rel=1e-10)
+
     def test_default_is_exponential(self):
         f = AuxFunction()
         # Mellin transform of e^-u is Gamma(s)

@@ -1,11 +1,15 @@
 """Monte-Carlo count sampling: determinism, histogram accuracy, Q estimation."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from tgcs.gseq import Factorial, MLGamma
 from tgcs.sampler import sample_counts
-from tgcs.states import ExcitationDistribution, StateSpec, excitation_distribution
+from tgcs.states import (ExcitationDistribution, StateSpec, excitation_distribution,
+                         random_state_spec)
 from tgcs.statistics import mandel_q
 
 
@@ -68,6 +72,18 @@ class TestEstimators:
         g2_true = correlation_g2(spec)
         run = sample_counts(excitation_distribution(spec), 1_000_000, seed=13)
         assert run.g2_hat == pytest.approx(g2_true, rel=0.02)
+
+    def test_single_nonzero_draw_has_no_stderr(self):
+        # deleting the one nonzero draw leaves the mean at 0, where Q is undefined;
+        # this spec and seed used to give a 0/0 NaN (and a RuntimeWarning)
+        spec = random_state_spec(np.random.default_rng(1067))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = sample_counts(excitation_distribution(spec), 500, seed=1)
+        assert run.counts[:2].tolist() == [499, 1]
+        assert run.q_hat == 0.0
+        assert run.stderr_q is None
+        assert json.loads(json.dumps(run.to_json(), allow_nan=False))["stderr_q"] is None
 
     def test_json_schema(self):
         dist = excitation_distribution(StateSpec(Factorial(), 5, 0.5))

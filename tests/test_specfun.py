@@ -15,6 +15,32 @@ from tgcs.specfun import (DEFAULT_POLICY, KratzelParams, SeriesEvalPolicy,
                           truncated_series_scaled, wright)
 
 
+def mpmath_kratzel(lam: float, mu: float, u: float) -> float:
+    """The Kraetzel kernel by mpmath.quad on t = ln v at 20 digits.
+
+    Breakpoints every unit of t, and every half width around the peak of the
+    integrand, which sharpens to a width ~0.05 at u = 1e3, lam = 1/2.
+    """
+    a = mu / lam - 1.0
+
+    def slope(t):  # of the exponent; decreasing in t
+        return a + u * math.exp(-t) - math.exp(t / lam) / lam
+
+    lo, hi = -60.0, 60.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+    width = 1.0 / math.sqrt(u * math.exp(-lo) + math.exp(lo / lam) / lam ** 2)
+    # the integrand is below exp(-2700) outside [ln u - 10, lam ln 1e3 + 2]
+    left, right = math.log(u) - 10.0, lam * math.log(1e3) + 2.0
+    points = sorted({left, right, *np.arange(math.ceil(left), right).tolist(),
+                     *(lo + width * np.arange(-8.0, 8.5, 0.5)).tolist()})
+    with mpmath.workdps(20):
+        val = mpmath.quad(lambda t: mpmath.exp(a * t - u * mpmath.exp(-t)
+                                               - mpmath.exp(t / lam)), points)
+    return float(val) / lam
+
+
 class TestLogGamma:
     def test_matches_math_lgamma(self):
         for x in [0.1, 0.5, 1.0, 2.5, 10.0, 100.0]:
@@ -166,6 +192,12 @@ class TestKratzelKernel:
                     lambda t: kratzel_kernel(p, math.exp(t)) * math.exp(s * t),
                     -30.0, 15.0, limit=300)
                 assert val == pytest.approx(target, rel=1e-6)
+
+    @pytest.mark.parametrize("lam, mu", [(0.5, 0.5), (2.0, 1.0)])
+    def test_matches_mpmath_quad(self, lam, mu):
+        for u in np.geomspace(1e-4, 1e3, 8):
+            assert kratzel_kernel(KratzelParams(lam, mu), u) == pytest.approx(
+                mpmath_kratzel(lam, mu, u), rel=1e-12)
 
     def test_positive_on_wide_grid(self):
         p = KratzelParams(0.5, 1.5)

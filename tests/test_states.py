@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tgcs.completeness import MLWeight
 from tgcs.gseq import Factorial, G1, MLGamma, Table, WrightProduct
 from tgcs.specfun import mittag_leffler, wright
-from tgcs.states import (DivergenceError, FockVector, INFINITE,
+from tgcs.states import (DivergenceError, FockVector, INFINITE, MAX_TERMS,
                          IncompatibleSpecError, StateSpec, amplitudes,
                          bargmann_inner_product, bargmann_poly,
                          excitation_distribution, log_normalization,
@@ -31,6 +31,16 @@ class TestStateSpec:
     def test_table_with_infinite_k_rejected(self):
         with pytest.raises(DivergenceError):
             StateSpec(Table((1.0, 2.0)), INFINITE, 1.0)
+
+    def test_term_budget_is_decided_at_construction(self):
+        # MLGamma(1/4, 1) at u = 26.8 sums with 2 091 434 terms, just inside
+        # MAX_TERMS; at u = 26.9 the spec used to be built and then fail in the sum
+        seq = MLGamma(0.25, 1.0)
+        with pytest.raises(DivergenceError):
+            StateSpec(seq, INFINITE, math.sqrt(26.9))
+        dist = excitation_distribution(StateSpec(seq, INFINITE, math.sqrt(26.8)))
+        assert 2_000_000 < len(dist.probs) <= MAX_TERMS
+        assert abs(float(np.sum(dist.probs)) - 1.0) <= 1e-12
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
