@@ -3,8 +3,8 @@
 from .gseq import (AsymptoticFamily, AsymptoticTerm, AuxFunction, Factorial, G1,
                    GSequence, MLGamma, Table, WrightProduct,
                    asymptotic_leading_term, mellin_transform, verify_mellin_link)
-from .specfun import (KratzelParams, SeriesEvalPolicy, kratzel_kernel, log_gamma,
-                      mittag_leffler, truncated_series, wright)
+from .specfun import (KratzelParams, kratzel_kernel, log_gamma, mittag_leffler,
+                      truncated_series, wright)
 from .states import (INFINITE, ExcitationDistribution, FockVector, StateSpec,
                      amplitudes, bargmann_inner_product, bargmann_poly,
                      excitation_distribution, normalization, overlap)

@@ -1,6 +1,7 @@
 """Command-line front end: figure-data grids, verification suite, exports.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error.
+Exit codes: 0 success, 1 verification failure (or a moment tolerance not
+reached), 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -54,6 +55,16 @@ def _count(value: Any, name: str) -> int:
 
 def _k(value: Any):
     return INFINITE if value == "inf" else _count(value, "k (or 'inf')")
+
+
+def _tol(value: Any) -> float:
+    try:
+        tol = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad tol: {exc}") from exc
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be a finite number > 0, got {value!r}")
+    return tol
 
 
 def _spec(seq: GSequence, k, z: complex) -> StateSpec:
@@ -195,13 +206,17 @@ def cmd_moments(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     k = _k(wcfg.get("k", "inf"))
     try:
         weight = _WEIGHT_BUILDERS[kind](wcfg, k)
-        tol = float(cfg.get("tol", 1e-6))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad weight parameters or tol: {exc}") from exc
+        raise ConfigError(f"bad weight parameters: {exc}") from exc
+    tol = _tol(cfg.get("tol", 1e-6))
     n_max = _count(wcfg.get("n_max", 4), "n_max")
     if n_max > k:
         raise ConfigError(f"n_max = {n_max} exceeds the truncation level k = {k}")
-    report = completeness.moment_check(weight, n_max, tol)
+    try:
+        report = completeness.moment_check(weight, n_max, tol)
+    except QuadratureError as exc:
+        print(f"moments: tol {tol:g} not reached: {exc}", file=sys.stderr)
+        return 1
     rows = list(report.to_csv_rows())
     _write_rows(rows, ["kind", "n", "target", "value", "residual"], out, fmt)
     return 0
@@ -298,11 +313,7 @@ def run_verification_suite(tol_override: float | None = None) -> tuple[list[dict
 
 
 def cmd_verify(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
-    tol_override = cfg.get("tol")
-    try:
-        tol_override = float(tol_override) if tol_override is not None else None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad tol: {exc}") from exc
+    tol_override = None if cfg.get("tol") is None else _tol(cfg["tol"])
     checks, ok = run_verification_suite(tol_override)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"

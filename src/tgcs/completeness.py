@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .gseq import AuxFunction, GSequence
-from .specfun import KratzelParams, kratzel_kernel, mittag_leffler, wright
-from .states import INFINITE
 from . import specfun
+from .gseq import AuxFunction, Factorial, GSequence, MLGamma, WrightProduct
+from .specfun import KratzelParams
+from .states import INFINITE, _adaptive_log_terms, _check_term_budget
 
 
 @dataclass(frozen=True)
@@ -20,37 +20,91 @@ class QuadratureResult:
     error: float
 
 
-def _integrate(g, tol: float, lo: float = -700.0, hi: float = 700.0) -> QuadratureResult:
-    """int g(t) dt over [lo, hi] of one integrand on the log axis t = ln u."""
-    return QuadratureResult(*specfun._trapezoid(g, tol, lo, hi)[:, 0].tolist())
-
-
 def quadrature_improper(f: Callable[[float], float], tol: float = 1e-8) -> QuadratureResult:
     """int_0^inf f(u) du by the trapezoid rule on t = ln u, f mapped over the nodes."""
-    return _integrate(
-        lambda t: np.fromiter((f(u) * u for u in np.exp(t).tolist()), float, t.size), tol)
+    return QuadratureResult(*specfun._trapezoid(
+        lambda t: np.fromiter((f(u) * u for u in np.exp(t).tolist()), float, t.size),
+        tol)[:, 0].tolist())
+
+
+def _window(c: float, p: float, s_left: float, s_right: float,
+            n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The t window of F u^(n+1) ~ e^((s_left + n) t) (t -> -inf), ~ e^((s_right + n) t
+    - c e^(t/p)) (t -> inf): from e^-60 below the decay's onset c e^(t/p) = 1, at
+    most from t = -700, to where the right tail falls below e^-800."""
+    s = s_right + n
+    hi = np.full(np.shape(s), p * math.log(800.0 / c))
+    for _ in range(8):  # to the fixed point from below, each step p s / (800 + s t) closer
+        hi = p * np.log((800.0 + np.maximum(s * hi, 0.0)) / c)
+    return np.maximum(-60.0 / (s_left + n) - p * math.log(c), -700.0), hi
 
 
 class WeightFunction:
-    """Evaluable completeness density U(u) on (0, inf)."""
+    """Completeness density U(u) = pi^-1 F(u) T(u) on (0, inf), T the series of
+    seq truncated at k: the moment identity pi int [T]^-1 U u^n du = g(n) is the
+    integral of F u^(n+1) over t = ln u.  Subclasses give seq, k, the factor
+    (_log_factor, or _factor where it is signed) and its _tails (see _window).
+    """
 
-    def eval(self, u: float) -> float:
+    seq: GSequence
+    k: float
+
+    def __post_init__(self):
+        self.seq  # builds the sequence: bad parameters fail here, not inside a sum
+
+    def _log_factor(self, t: np.ndarray) -> np.ndarray:
+        """ln F at u = exp(t)."""
         raise NotImplementedError
 
-    def normalization_series(self, u: float) -> float:
-        """The T(u) series dividing the state projector in the moment integral."""
-        raise NotImplementedError
+    def _factor(self, t: np.ndarray, log_scale) -> np.ndarray:
+        """F(e^t) e^log_scale, the scale taken into the exponent: neither need be
+        representable alone."""
+        return np.exp(self._log_factor(t) + log_scale)
+
+    def _log_normalization(self, t: np.ndarray) -> np.ndarray:
+        """ln T at u = exp(t).  For k = inf the level is the adaptive one at the
+        largest u, whose tail bound holds at every smaller u (the terms are
+        log-concave in n); DivergenceError past MAX_TERMS terms."""
+        k = self.k
+        if k == INFINITE:
+            log_u = float(np.max(t))
+            _check_term_budget(self.seq, math.exp(log_u))
+            k = len(_adaptive_log_terms(self.seq, log_u)) - 1
+        return specfun.log_truncated_series(self.seq, int(k), t)
+
+    def eval(self, u):
+        """U(u) for u > 0, a float or an array."""
+        t = np.log(u)
+        log_norm = self._log_normalization(t)
+        # an exponential of t in F past the double range gives its value, F = 0
+        with np.errstate(over="ignore"):
+            return self._factor(t, log_norm) / math.pi
+
+    def normalization_series(self, u):
+        """The T(u) series dividing the state projector in the moment integral;
+        inf past the double range."""
+        with np.errstate(over="ignore"):
+            return np.exp(self._log_normalization(np.log(u)))
 
     def moment_target(self, n: int) -> float:
         """The g(n) value the n-th cancelled moment integral must reproduce."""
-        raise NotImplementedError
+        return self.seq.g(n)
+
+    def _cancelled_moments(self, n: np.ndarray, tol: float) -> np.ndarray:
+        """[values, error estimates] of int F u^(n+1) dt, one trapezoid row per n."""
+        return specfun._trapezoid(lambda t, n: self._factor(t, (n + 1.0) * t),
+                                  tol, *_window(*self._tails, n), n)
 
     def cancelled_moment(self, n: int, tol: float) -> QuadratureResult:
         """pi * int [T]^-1 U(u) u^n du with the analytic cancellation applied."""
-        raise NotImplementedError
+        return QuadratureResult(*self._cancelled_moments(np.array([n]), tol)[:, 0].tolist())
 
     def label(self) -> str:
-        raise NotImplementedError
+        k = "inf" if self.k == INFINITE else int(self.k)
+        return f"{self._kind}({''.join(f'{p}={v},' for p, v in self._params().items())}k={k})"
+
+    def _params(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "k"}
 
 
 @dataclass(frozen=True)
@@ -58,30 +112,23 @@ class CanonicalTruncatedWeight(WeightFunction):
     """pi^-1 exp(-u) exp_k(-u); sign-indefinite for odd k at large u."""
 
     k: int
+    _kind = "canonical-truncated"
+    _tails = (1.0, 1.0, 1.0, 1.0)
+    seq = Factorial()
 
-    def eval(self, u: float) -> float:
-        if u > 700.0:
-            return 0.0
-        return math.exp(-u) * _exp_partial(self.k, -u) / math.pi
-
-    def normalization_series(self, u: float) -> float:
-        return _exp_partial(self.k, u)
-
-    def moment_target(self, n: int) -> float:
-        return math.gamma(n + 1)
-
-    def cancelled_moment(self, n: int, tol: float) -> QuadratureResult:
-        # no analytic cancellation exists here; integrate the raw quotient
-        def f(t: np.ndarray) -> np.ndarray:
-            # held at u = 700 beyond it, where e^-u makes the integrand negligible
-            # and the partial sums would overflow
-            u = np.exp(np.minimum(t, math.log(700.0)))
-            return np.exp(-u) * _exp_partial(self.k, -u) / _exp_partial(self.k, u) * u ** (n + 1)
-
-        return _integrate(f, tol)
-
-    def label(self) -> str:
-        return f"canonical-truncated(k={self.k})"
+    def _factor(self, t: np.ndarray, log_scale) -> np.ndarray:
+        # F = e^-u exp_k(-u) / exp_k(u) is signed and cancels: its terms u^n/n!,
+        # over the largest at n = min(k, u), are products of ratios u/j past it
+        # and j/u up to it, which round like the plain sums and never overflow
+        u = np.exp(t)[..., None]
+        j = np.arange(1, self.k + 1)
+        top = np.minimum(self.k, np.floor(u))
+        one = np.ones(u.shape)
+        up = np.concatenate([one, np.cumprod(np.where(j > top, u / j, 1.0), axis=-1)], axis=-1)
+        down = np.where(j <= top, j / u, 1.0)[..., ::-1]
+        w = up * np.concatenate([np.cumprod(down, axis=-1)[..., ::-1], one], axis=-1)
+        ratio = w @ (-1.0) ** np.arange(self.k + 1) / np.sum(w, axis=-1)
+        return ratio * np.exp(log_scale - u[..., 0])
 
 
 @dataclass(frozen=True)
@@ -91,34 +138,19 @@ class MLWeight(WeightFunction):
     alpha: float
     beta: float
     k: float = INFINITE
+    _kind = "ml"
 
-    def eval(self, u: float) -> float:
+    @property
+    def seq(self) -> MLGamma:
+        return MLGamma(self.alpha, self.beta)
+
+    @property
+    def _tails(self) -> tuple[float, float, float, float]:
+        return 1.0, self.alpha, self.beta / self.alpha, self.beta / self.alpha
+
+    def _log_factor(self, t: np.ndarray) -> np.ndarray:
         a, b = self.alpha, self.beta
-        if math.log(u) / a > 700.0:
-            return 0.0
-        log_front = (b / a - 1.0) * math.log(u) - u ** (1.0 / a)
-        if log_front <= -700.0:
-            return 0.0  # skip T, whose series overflows at huge u
-        return math.exp(log_front) * self.normalization_series(u) / (math.pi * a)
-
-    def normalization_series(self, u: float) -> float:
-        if self.k == INFINITE:
-            return mittag_leffler(self.alpha, self.beta, u)
-        from .gseq import MLGamma
-        return float(specfun.truncated_series(MLGamma(self.alpha, self.beta),
-                                              int(self.k), u).real)
-
-    def moment_target(self, n: int) -> float:
-        return math.gamma(self.alpha * n + self.beta)
-
-    def cancelled_moment(self, n: int, tol: float) -> QuadratureResult:
-        a, b = self.alpha, self.beta
-        return _integrate(
-            lambda t: np.exp((b / a + n) * t - np.exp(np.minimum(t / a, 700.0))) / a, tol)
-
-    def label(self) -> str:
-        k = "inf" if self.k == INFINITE else int(self.k)
-        return f"ml(alpha={self.alpha},beta={self.beta},k={k})"
+        return (b / a - 1.0) * t - np.exp(t / a) - math.log(a)
 
 
 @dataclass(frozen=True)
@@ -128,37 +160,22 @@ class WrightWeight(WeightFunction):
     lam: float
     mu: float
     k: float = INFINITE
+    _kind = "wright"
 
-    def eval(self, u: float) -> float:
-        z = kratzel_kernel(KratzelParams(self.lam, self.mu), u)
-        if z == 0.0:
-            return 0.0  # skip T, whose series overflows at huge u
-        return self.normalization_series(u) * z / math.pi
+    @property
+    def seq(self) -> WrightProduct:
+        return WrightProduct(self.lam, self.mu)
 
-    def normalization_series(self, u: float) -> float:
-        if self.k == INFINITE:
-            return wright(self.lam, self.mu, u)
-        from .gseq import WrightProduct
-        return float(specfun.truncated_series(WrightProduct(self.lam, self.mu),
-                                              int(self.k), u).real)
+    @property
+    def _tails(self) -> tuple[float, float, float, float]:
+        # Z ~ u^min(0, mu/lam - 1) as u -> 0 (a log factor at mu = lam), and
+        # ln Z ~ -(1 + 1/lam) (lam u)^(1/(1+lam)) + (mu - lam - 1/2)/(1 + lam) ln u
+        lam, mu = self.lam, self.mu
+        return ((1.0 + 1.0 / lam) * lam ** (1.0 / (1.0 + lam)), 1.0 + lam,
+                min(1.0, mu / lam), 1.0 + max(mu - lam, 0.0) / (1.0 + lam))
 
-    def moment_target(self, n: int) -> float:
-        return math.exp(math.lgamma(n + 1) + math.lgamma(self.lam * n + self.mu))
-
-    def cancelled_moment(self, n: int, tol: float) -> QuadratureResult:
-        params = KratzelParams(self.lam, self.mu)
-        inner_tol = min(1e-9, tol * 1e-2)
-        # u^(n+1) Z(u) falls like exp((n + min(1, mu/lam)) t) on the left (cut
-        # at -700, where Z itself may pass the double range) and is 0 past
-        # ln u = lam ln 700 + 9, where the kernel's window closes
-        return _integrate(
-            lambda t: np.exp((n + 1) * t) * specfun._kratzel(params, t, inner_tol), tol,
-            max(-60.0 / (n + min(1.0, self.mu / self.lam)), -700.0),
-            self.lam * math.log(700.0) + 9.0)
-
-    def label(self) -> str:
-        k = "inf" if self.k == INFINITE else int(self.k)
-        return f"wright(lam={self.lam},mu={self.mu},k={k})"
+    def _log_factor(self, t: np.ndarray) -> np.ndarray:
+        return specfun._kratzel(KratzelParams(self.lam, self.mu), t, _KRATZEL_TOL)
 
 
 @dataclass(frozen=True)
@@ -168,61 +185,43 @@ class GeneralWeight(WeightFunction):
     f: AuxFunction
     seq: GSequence
     k: float = INFINITE
+    _kind = "general"
 
-    def eval(self, u: float) -> float:
-        # N(u) and f(u) overflow/underflow in opposite directions; pair them in log space
-        if self.f.rho * math.log(u) > 700.0:
-            return 0.0
-        log_f = self.f.nu * math.log(u) - self.f.w * u ** self.f.rho
-        arg = self._log_normalization(u) + log_f - math.log(math.pi)
-        return math.exp(arg) if arg > -700.0 else 0.0
+    @property
+    def _tails(self) -> tuple[float, float, float, float]:
+        return self.f.w, 1.0 / self.f.rho, self.f.nu + 1.0, self.f.nu + 1.0
 
-    def _log_normalization(self, u: float) -> float:
-        from .states import StateSpec, log_normalization
-        if self.k == INFINITE:
-            return log_normalization(StateSpec(self.seq, INFINITE, math.sqrt(u)))
-        return specfun.log_truncated_series(self.seq, int(self.k), math.log(u))
+    def _log_factor(self, t: np.ndarray) -> np.ndarray:
+        return self.f.nu * t - self.f.w * np.exp(self.f.rho * t)
 
-    def normalization_series(self, u: float) -> float:
-        return math.exp(self._log_normalization(u))
-
-    def moment_target(self, n: int) -> float:
-        return self.seq.g(n)
-
-    def cancelled_moment(self, n: int, tol: float) -> QuadratureResult:
-        return _integrate(lambda t: self.f.on_log_axis(t, n + 1), tol)
-
-    def label(self) -> str:
-        k = "inf" if self.k == INFINITE else int(self.k)
-        return f"general(nu={self.f.nu},rho={self.f.rho},w={self.f.w},k={k})"
+    def _params(self) -> dict:
+        return vars(self.f)
 
 
-def _exp_partial(k: int, x):
-    """Partial exponential sum_{n=0}^{k} x^n / n! (real x or an array, either sign)."""
-    total = 1.0
-    term = 1.0
-    for n in range(1, k + 1):
-        term *= x / n
-        total += term
-    return total
+# tolerance of the Kraetzel kernel in the Wright factor: the halving meeting it leaves
+# errors far below it (Wright moments within 2e-15 of g(n); 1e-9 gave 8e-14)
+_KRATZEL_TOL = 5e-10
 
 
 def weight_eval(w: WeightFunction, u: float) -> float:
     if u <= 0:
         raise ValueError("weight functions are defined on u > 0")
-    return w.eval(u)
+    return float(w.eval(u))
+
+
+def _radial_moments(w: WeightFunction, n: np.ndarray, tol: float) -> np.ndarray:
+    """pi * int_0^inf [T(u)]^-1 U(u) u^n du for each n, one trapezoid row per n."""
+
+    def f(t: np.ndarray, n: np.ndarray) -> np.ndarray:
+        u = np.exp(t)
+        return w.eval(u) / w.normalization_series(u) * u ** (n + 1.0)
+
+    return math.pi * specfun._trapezoid(f, tol, *_window(*w._tails, n), n)[0]
 
 
 def weight_radial_moment(w: WeightFunction, n: int, tol: float = 1e-8) -> float:
     """pi * int_0^inf [T(u)]^-1 U(u) u^n du, evaluated without cancellation."""
-
-    def f(u: float) -> float:
-        e = w.eval(u)
-        if e == 0.0:
-            return 0.0  # the T series in the denominator overflows at huge u
-        return e / w.normalization_series(u) * u ** n
-
-    return math.pi * quadrature_improper(f, tol).value
+    return float(_radial_moments(w, np.array([n]), tol)[0])
 
 
 @dataclass(frozen=True)
@@ -254,13 +253,12 @@ def moment_check(w: WeightFunction, n_max: int, tol: float) -> MomentReport:
     """Residuals of pi int [T]^-1 U u^n du against g(n) for n = 0..n_max."""
     if w.k != INFINITE and n_max > int(w.k):
         raise ValueError("n_max must not exceed the truncation level")
+    values = w._cancelled_moments(np.arange(n_max + 1), tol)[0].tolist()
     rows = []
-    for n in range(n_max + 1):
+    for n, value in enumerate(values):
         target = w.moment_target(n)
-        value = w.cancelled_moment(n, tol).value * 1.0
-        residual = abs(value - target) / target
-        rows.append(MomentRow(kind=w.label(), n=n, target=target,
-                              value=value, residual=residual))
+        rows.append(MomentRow(kind=w.label(), n=n, target=target, value=value,
+                              residual=abs(value - target) / target))
     rows = tuple(rows)
     return MomentReport(rows=rows, tol=tol,
                         passed=all(r.residual <= tol for r in rows))

@@ -17,7 +17,7 @@ if TYPE_CHECKING:
 
 
 class SeriesConvergenceError(RuntimeError):
-    """Raised when a series hits max_terms before the stopping rule fires."""
+    """Raised when a series hits SERIES_MAX_TERMS before the stopping rule fires."""
 
     def __init__(self, message: str, partial_sum: float, last_term: float):
         super().__init__(f"{message} (partial sum {partial_sum!r}, last term {last_term!r})")
@@ -34,22 +34,11 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-@dataclass(frozen=True)
-class SeriesEvalPolicy:
-    abs_tol: float = 1e-14
-    rel_tol: float = 1e-14
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_POLICY = SeriesEvalPolicy()
+# the stopping rule and term cap of the scalar series mittag_leffler and wright;
+# SERIES_ABS_TOL also sets the tail bound of the k = inf sums in states
+SERIES_ABS_TOL = 1e-14
+SERIES_REL_TOL = 1e-14
+SERIES_MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -71,7 +60,7 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _positive_series(log_term, policy: SeriesEvalPolicy, name: str) -> float:
+def _positive_series(log_term, name: str) -> float:
     """Kahan-summed positive series with the term-based stopping rule.
 
     log_term(n) returns ln of the n-th (nonnegative) term.  Stops once two
@@ -82,7 +71,7 @@ def _positive_series(log_term, policy: SeriesEvalPolicy, name: str) -> float:
     comp = 0.0
     small_streak = 0
     term = 0.0
-    for n in range(policy.max_terms):
+    for n in range(SERIES_MAX_TERMS):
         lt = log_term(n)
         term = math.exp(lt) if lt < 709.0 else math.inf
         y = term - comp
@@ -91,7 +80,7 @@ def _positive_series(log_term, policy: SeriesEvalPolicy, name: str) -> float:
         total = t
         if not math.isfinite(total):
             raise SeriesConvergenceError(f"{name}: series overflow", total, term)
-        if term <= policy.abs_tol + policy.rel_tol * total:
+        if term <= SERIES_ABS_TOL + SERIES_REL_TOL * total:
             small_streak += 1
             if small_streak >= 2:
                 return total
@@ -100,8 +89,7 @@ def _positive_series(log_term, policy: SeriesEvalPolicy, name: str) -> float:
     raise SeriesConvergenceError(f"{name}: max_terms reached", total, term)
 
 
-def mittag_leffler(alpha: float, beta: float, x: float,
-                   policy: SeriesEvalPolicy = DEFAULT_POLICY) -> float:
+def mittag_leffler(alpha: float, beta: float, x: float) -> float:
     """E_{alpha,beta}(x) = sum_n x^n / Gamma(alpha*n + beta), x >= 0."""
     if alpha <= 0 or beta <= 0:
         raise ValueError("mittag_leffler requires alpha > 0 and beta > 0")
@@ -111,11 +99,10 @@ def mittag_leffler(alpha: float, beta: float, x: float,
         return 1.0 / math.gamma(beta)
     lx = math.log(x)
     return _positive_series(lambda n: n * lx - math.lgamma(alpha * n + beta),
-                            policy, "mittag_leffler")
+                            "mittag_leffler")
 
 
-def wright(lam: float, mu: float, x: float,
-           policy: SeriesEvalPolicy = DEFAULT_POLICY) -> float:
+def wright(lam: float, mu: float, x: float) -> float:
     """W_{lam,mu}(x) = sum_n x^n / (n! Gamma(lam*n + mu)), x >= 0."""
     if lam <= 0 or mu <= 0:
         raise ValueError("wright requires lam > 0 and mu > 0")
@@ -126,7 +113,7 @@ def wright(lam: float, mu: float, x: float,
     lx = math.log(x)
     return _positive_series(
         lambda n: n * lx - math.lgamma(n + 1) - math.lgamma(lam * n + mu),
-        policy, "wright")
+        "wright")
 
 
 def truncated_series(g: "GSequence", k: int, z: complex) -> complex:
@@ -156,10 +143,22 @@ def truncated_series_scaled(g: "GSequence", k: int, z: complex) -> tuple[complex
     return total, shift
 
 
-def log_truncated_series(g: "GSequence", k: int, log_u: float) -> float:
-    """ln of sum_{n=0}^{k} u^n / g(n) for u = exp(log_u) > 0."""
+def log_truncated_series(g: "GSequence", k: int, log_u):
+    """ln of sum_{n=0}^{k} u^n / g(n) at u = exp(log_u) > 0, element by element.
+
+    log_u is a float or an array; the (entries x (k+1)) matrix of log terms is
+    summed in row blocks of at most _BLOCK entries.
+    """
     n = np.arange(k + 1)
-    return _log_sum_exp(n * log_u - g.log_g_array(n))
+    log_g = g.log_g_array(n)
+    flat = np.ravel(log_u)
+    rows = max(1, _BLOCK // (k + 1))
+    out = np.concatenate([_log_sum_exp(np.multiply.outer(flat[i:i + rows], n) - log_g)
+                          for i in range(0, max(flat.size, 1), rows)])
+    return out.reshape(np.shape(log_u))[()]
+
+
+_BLOCK = 1 << 20  # entries of a log-term matrix summed at once
 
 
 def _scaled_exp(log_terms: np.ndarray) -> tuple[float, np.ndarray]:
@@ -169,8 +168,17 @@ def _scaled_exp(log_terms: np.ndarray) -> tuple[float, np.ndarray]:
     return m, np.exp(log_terms - m)
 
 
-def _log_sum_exp(log_terms: np.ndarray) -> float:
-    """ln sum exp(log_terms); -inf for the empty sum."""
+def _log_sum_exp(log_terms: np.ndarray):
+    """ln sum exp(log_terms) over the last axis; -inf for the empty sum.
+
+    A 1-D array gives a float (through math.log, as every scalar sum here);
+    a matrix gives one value per row, each shifted by its own largest term.
+    Its terms below e^-700 of that are raised to it, which leaves a sum of at
+    least 1 unchanged and spares numpy's exp its slow underflow path.
+    """
+    if log_terms.ndim > 1:
+        m = np.max(log_terms, axis=-1, keepdims=True)
+        return m[..., 0] + np.log(np.sum(np.exp(np.maximum(log_terms - m, -700.0)), axis=-1))
     if len(log_terms) == 0:
         return -math.inf
     m, w = _scaled_exp(log_terms)
@@ -249,15 +257,51 @@ def _trapezoid(f, tol: float, lo=-700.0, hi=700.0, *params) -> np.ndarray:
     return out
 
 
-def _kratzel(p: KratzelParams, log_u: np.ndarray, rel_tol: float) -> np.ndarray:
-    """kratzel_kernel at u = exp(log_u), one trapezoid row per entry."""
-    a = p.mu / p.lam - 1.0
-    # the exp(log_u - t) factor kills everything left of log_u - 8 and the
-    # exp(t/lam) factor everything right of lam*ln(700); where they overlap
-    # the window is empty and the kernel 0
-    hi = p.lam * math.log(700.0) + 1.0
-    return _trapezoid(lambda t, log_u: np.exp(a * t - np.exp(log_u - t) - np.exp(t / p.lam)),
-                      rel_tol, np.minimum(log_u - 8.0, hi), hi, log_u)[0] / p.lam
+# past this exponent the kernel is e^-1e9: zero in double precision, and no
+# weight series summable in states.MAX_TERMS terms compensates it
+_KRATZEL_FLOOR = -1e9
+
+
+def _kratzel(p: KratzelParams, log_u, rel_tol: float) -> np.ndarray:
+    """ln of kratzel_kernel at u = exp(log_u), one trapezoid row per entry; -inf
+    for rows whose exponent lies below _KRATZEL_FLOOR.
+
+    The exponent phi(t) = a t - e^(log_u - t) - e^(t/lam), a = mu/lam - 1, is
+    concave.  Each row is shifted by phi at the better of two points: where the
+    exponentials balance (phi' = a) and where a balances the one on its side;
+    phi is within |a| max(1, lam) ln 2 of its maximum there.  With A, B the
+    exponentials at that point, phi(t + d) - phi(t) = a d - A expm1(-d)
+    - B expm1(d/lam) rounds like sqrt(A + B), not like A + B.  The window ends
+    where its quadratic or its exponential upper bound falls to -50.
+    """
+    lam, a = p.lam, p.mu / p.lam - 1.0
+    shape, log_u = np.shape(log_u), np.ravel(log_u).astype(float)
+    t_bal = lam * (log_u + math.log(lam)) / (1.0 + lam)
+    t_a = (np.full_like(log_u, lam * math.log(a * lam)) if a > 0
+           else log_u - math.log(-a) if a < 0 else t_bal)
+    # clipped where both exponentials are finite
+    points = np.clip(np.stack([t_bal, t_a]), log_u - 700.0, 700.0 * lam)
+    values = a * points - np.exp(log_u - points) - np.exp(points / lam)
+    best = np.argmax(values, axis=0)[None]
+    peak, shift = (np.take_along_axis(x, best, 0)[0] for x in (points, values))
+    out = np.full(log_u.shape, -np.inf)
+    rows = shift > _KRATZEL_FLOOR
+    log_u, peak, shift = log_u[rows], peak[rows], shift[rows]
+    A, B = np.exp(log_u - peak), np.exp(peak / lam)
+    slope = a + A - B / lam
+    # the window is at most 700 (700 lam) wide on each side: expm1 stays finite
+    big = np.log(50.0 + A + B + 700.0 * max(1.0, lam) * abs(a))
+    with np.errstate(divide="ignore"):  # A or B underflowed: no quadratic bound
+        left = (np.sqrt(slope ** 2 + 100.0 * A) - slope) / A
+        right = (np.sqrt(slope ** 2 + 100.0 * B / lam ** 2) + slope) * lam ** 2 / B
+    lo = np.maximum.reduce([peak - left, log_u - big, peak - 700.0])
+    hi = np.minimum.reduce([peak + right, lam * big, peak + 700.0 * lam])
+    integral = _trapezoid(
+        lambda t, peak, A, B: np.exp(a * (t - peak) - A * np.expm1(peak - t)
+                                     - B * np.expm1((t - peak) / lam)),
+        rel_tol, lo, hi, peak, A, B)[0]
+    out[rows] = shift + np.log(integral) - math.log(lam)
+    return out.reshape(shape)
 
 
 def kratzel_kernel(p: KratzelParams, u: float, rel_tol: float = 1e-8) -> float:
@@ -265,8 +309,9 @@ def kratzel_kernel(p: KratzelParams, u: float, rel_tol: float = 1e-8) -> float:
 
     Equals the H^{2,0}_{0,2} Fox-H special case whose Mellin transform is
     Gamma(s) Gamma(lam*s + mu - lam).  Evaluated on the v = exp(t) axis where
-    the integrand decays doubly exponentially at both ends.
+    the integrand decays doubly exponentially at both ends; 0 where the kernel
+    underflows.
     """
     if u <= 0:
         raise ValueError("kratzel_kernel requires u > 0")
-    return float(_kratzel(p, np.array([math.log(u)]), rel_tol)[0])
+    return math.exp(_kratzel(p, math.log(u), rel_tol))

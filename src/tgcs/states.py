@@ -9,12 +9,14 @@ from typing import Any
 import numpy as np
 
 from .gseq import Factorial, GSequence, Table
-from .specfun import (DEFAULT_POLICY, SeriesEvalPolicy, _log_sum_exp, _scaled_exp,
-                      truncated_series_scaled)
+from .specfun import SERIES_ABS_TOL, _log_sum_exp, _scaled_exp, truncated_series_scaled
 
 INFINITE = math.inf
 # one term budget for the infinite-k convergence probe and summation
 MAX_TERMS = 1 << 21
+# ln of the tail bound, relative to the largest term, that ends a k = inf sum;
+# the extra 1e-4 margin keeps moment sums clean at the 1e-12 level
+_LOG_TAIL_TOL = math.log(SERIES_ABS_TOL * 1e-4)
 
 
 class DivergenceError(ValueError):
@@ -85,12 +87,6 @@ class FockVector:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
 
 
-def _log_tail_tol(policy: SeriesEvalPolicy) -> float:
-    """ln of the tail bound, relative to the largest term, that ends a k = inf sum."""
-    # extra 1e-4 margin keeps moment sums clean at the 1e-12 level
-    return math.log(policy.abs_tol * 1e-4)
-
-
 def _check_term_budget(seq: GSequence, u: float) -> None:
     """Refuse a k = inf series that _adaptive_log_terms cannot sum in MAX_TERMS terms.
 
@@ -99,8 +95,7 @@ def _check_term_budget(seq: GSequence, u: float) -> None:
     every later n: the search succeeds exactly when the rule holds at
     n = MAX_TERMS - 1.  The largest term it compares with is first bounded
     below on a geometric grid of n, and only when that does not settle the
-    rule found by bisection on the increments.  Decided for DEFAULT_POLICY;
-    a smaller abs_tol can still fail in the search itself.
+    rule found by bisection on the increments.
     """
     log_u = math.log(u)
 
@@ -112,7 +107,7 @@ def _check_term_budget(seq: GSequence, u: float) -> None:
     lt = log_terms(np.concatenate(([0], 2 ** np.arange(last.bit_length()), [last - 1, last])))
     ratio = lt[-1] - lt[-2]
     if ratio < 0:
-        limit = lt[-1] - np.log1p(-np.exp(ratio)) - _log_tail_tol(DEFAULT_POLICY)
+        limit = lt[-1] - np.log1p(-np.exp(ratio)) - _LOG_TAIL_TOL
         if lt.max() > limit:
             return
         lo, hi = 0, last  # the first falling n lies in (lo, hi]; the peak is just before it
@@ -126,15 +121,13 @@ def _check_term_budget(seq: GSequence, u: float) -> None:
         f"normalization series needs more than {MAX_TERMS} terms for u={u:g}")
 
 
-def _adaptive_log_terms(seq: GSequence, log_u: float,
-                        policy: SeriesEvalPolicy) -> np.ndarray:
-    """ln(u^n / g(n)) for n = 0..k, k the first level whose tail is below abs_tol.
+def _adaptive_log_terms(seq: GSequence, log_u: float) -> np.ndarray:
+    """ln(u^n / g(n)) for n = 0..k, k the first level whose tail is below _LOG_TAIL_TOL.
 
     The tail past a decreasing term is bounded by the geometric series of its
     ratio to the previous term.  The search doubles the number of terms from
     64, computing only the new half each round, up to MAX_TERMS.
     """
-    log_tol = _log_tail_tol(policy)
     lt = np.empty(0)
     best = -math.inf
     size = 64
@@ -151,7 +144,7 @@ def _adaptive_log_terms(seq: GSequence, log_u: float,
         ratio = lt[lo:] - lt[lo - 1:-1]
         falling = np.flatnonzero(ratio < 0)
         tail = lt[lo:][falling] - np.log1p(-np.exp(ratio[falling]))
-        done = falling[tail < log_tol + best_n[falling]]
+        done = falling[tail < _LOG_TAIL_TOL + best_n[falling]]
         if done.size:
             return lt[:lo + done[0] + 1]
         size *= 2
@@ -159,11 +152,11 @@ def _adaptive_log_terms(seq: GSequence, log_u: float,
         f"no effective truncation level within {MAX_TERMS} terms")
 
 
-def _log_terms(spec: StateSpec, policy: SeriesEvalPolicy) -> np.ndarray:
+def _log_terms(spec: StateSpec) -> np.ndarray:
     """ln(u^n / g(n)) for n = 0..k (k adaptive when infinite)."""
     u = spec.u
     if spec.k == INFINITE and u != 0:
-        return _adaptive_log_terms(spec.seq, math.log(u), policy)
+        return _adaptive_log_terms(spec.seq, math.log(u))
     k = 0 if spec.k == INFINITE else int(spec.k)
     n = np.arange(k + 1)
     log_g = spec.seq.log_g_array(n)
@@ -174,19 +167,18 @@ def _log_terms(spec: StateSpec, policy: SeriesEvalPolicy) -> np.ndarray:
     return n * math.log(u) - log_g
 
 
-def normalization(spec: StateSpec, policy: SeriesEvalPolicy = DEFAULT_POLICY) -> float:
+def normalization(spec: StateSpec) -> float:
     """N_{k,g}(|z|^2) = sum_{n=0}^{k} |z|^(2n) / g(n)."""
-    return excitation_distribution(spec, policy).norm
+    return excitation_distribution(spec).norm
 
 
-def log_normalization(spec: StateSpec, policy: SeriesEvalPolicy = DEFAULT_POLICY) -> float:
-    return _log_sum_exp(_log_terms(spec, policy))
+def log_normalization(spec: StateSpec) -> float:
+    return _log_sum_exp(_log_terms(spec))
 
 
-def excitation_distribution(spec: StateSpec,
-                            policy: SeriesEvalPolicy = DEFAULT_POLICY) -> ExcitationDistribution:
+def excitation_distribution(spec: StateSpec) -> ExcitationDistribution:
     """p(n) = |z|^(2n) / (N g(n)); the Kronecker distribution at z = 0."""
-    m, w = _scaled_exp(_log_terms(spec, policy))
+    m, w = _scaled_exp(_log_terms(spec))
     total = float(np.sum(w))
     # the sum itself can exceed the double range (e.g. exp(u^rho) growth)
     norm = math.exp(m) * total if m + math.log(total) < 709.0 else math.inf
@@ -197,14 +189,13 @@ def amplitudes(spec: StateSpec) -> np.ndarray:
     """Fock coefficients N^(-1/2) z^n / sqrt(g(n)) for n = 0..k (finite k)."""
     if spec.k == INFINITE:
         raise ValueError("amplitudes requires a finite truncation level")
-    _, w = _scaled_exp(_log_terms(spec, DEFAULT_POLICY))
+    _, w = _scaled_exp(_log_terms(spec))
     mags = np.sqrt(w / float(np.sum(w)))
     phase = spec.z / abs(spec.z) if spec.z != 0 else 1.0 + 0.0j
     return mags * phase ** np.arange(len(w))
 
 
-def overlap(a: StateSpec, b: StateSpec,
-            policy: SeriesEvalPolicy = DEFAULT_POLICY) -> complex:
+def overlap(a: StateSpec, b: StateSpec) -> complex:
     """<a||b> = [T(|z1|^2) T(|z2|^2)]^(-1/2) T(z1* z2), T the shared series."""
     if a.seq != b.seq or a.k != b.k:
         raise IncompatibleSpecError("overlap requires matching sequence and truncation")
@@ -216,8 +207,8 @@ def overlap(a: StateSpec, b: StateSpec,
         return np.exp(np.conj(z1) * z2 - (abs(z1) ** 2 + abs(z2) ** 2) / 2.0)
     k = int(a.k)
     cross, log_scale = truncated_series_scaled(a.seq, k, np.conj(a.z) * b.z)
-    log_na = log_normalization(a, policy)
-    log_nb = log_normalization(b, policy)
+    log_na = log_normalization(a)
+    log_nb = log_normalization(b)
     return cross * math.exp(log_scale - 0.5 * (log_na + log_nb))
 
 
@@ -235,21 +226,18 @@ def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
     """<psi||phi> via the completeness measure, angular integral done analytically.
 
     Only equal powers of z survive the angular integration, which reduces the
-    2-D integral to the radial weight moments; those are evaluated by
-    quadrature through the supplied weight function.
+    2-D integral to the radial weight moments; those are evaluated by one
+    quadrature through the supplied weight function, a row per nonzero term.
     """
-    from .completeness import weight_radial_moment
+    from .completeness import _radial_moments
 
     if len(psi.coeffs) != k + 1 or len(phi.coeffs) != k + 1:
         raise ValueError("FockVectors must have k+1 entries")
-    inv_g = np.exp(-seq.log_g_array(np.arange(k + 1)))
-    total = 0.0 + 0.0j
-    for n in range(k + 1):
-        c = np.conj(psi.coeffs[n]) * phi.coeffs[n]
-        if c == 0:
-            continue
-        total += c * weight_radial_moment(weight, n, tol=tol) * inv_g[n]
-    return total
+    c = np.conj(psi.coeffs) * phi.coeffs
+    n = np.flatnonzero(c)
+    if n.size == 0:
+        return 0j
+    return complex(np.sum(c[n] * _radial_moments(weight, n, tol) * np.exp(-seq.log_g_array(n))))
 
 
 def random_state_spec(rng: np.random.Generator, k_max: int = 20,

