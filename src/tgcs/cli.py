@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -17,10 +18,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import completeness, sampler, statistics, zeros
-from .gseq import AuxFunction, Factorial, G1, GSequence, verify_mellin_link
+from . import completeness, sampler, states, statistics, zeros
+from .gseq import (AuxFunction, Factorial, G1, GSequence, MLGamma, WrightProduct,
+                   verify_mellin_link)
 from .specfun import QuadratureError
-from .states import INFINITE, StateSpec, excitation_distribution, overlap
+from .states import INFINITE, StateSpec, excitation_distribution, overlap, random_state_spec
 
 
 class ConfigError(ValueError):
@@ -79,36 +81,52 @@ def _grid(spec: dict[str, Any], name: str) -> np.ndarray:
     try:
         lo, hi, pts = float(spec["min"]), float(spec["max"]), int(spec["points"])
         scale = spec.get("scale", "linear")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} grid: {exc}") from exc
     if pts < 1:
         raise ConfigError(f"{name} grid must have at least one point")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{name} grid bounds must be finite, got {lo} and {hi}")
     if scale == "linear":
         return np.linspace(lo, hi, pts)
     if scale == "log":
-        if lo <= 0:
-            raise ConfigError(f"log-scaled {name} grid requires min > 0")
+        if lo <= 0 or hi <= 0:
+            raise ConfigError(f"log-scaled {name} grid requires min > 0 and max > 0")
         return np.geomspace(lo, hi, pts)
     raise ConfigError(f"unknown grid scale {scale!r}")
+
+
+def _labels(seq: GSequence, k, zgrid: np.ndarray) -> list[float]:
+    """u = |z|^2 at each label; what the spec at the largest refuses, the grid does."""
+    _spec(seq, k, complex(zgrid[np.argmax(np.abs(zgrid))]))
+    return [abs(r) ** 2 for r in zgrid.tolist()]
+
+
+def _label_moments(seq: GSequence, k, zgrid: np.ndarray, falling: bool):
+    """Labels with a nonzero mean count (Q and g2 divide by it) and their moments."""
+    if k == 0:
+        raise ConfigError("Q and g2 require k >= 1: at k = 0 the mean count is 0")
+    mean, m = (np.concatenate(x) for x in zip(*(
+        statistics._moments(w / total, falling)
+        for _, w, total in states._shifted_rows(seq, k, _labels(seq, k, zgrid)))))
+    keep = mean > 0
+    return zgrid[keep].tolist(), mean[keep], m[keep]
 
 
 def _write_rows(rows: list[dict], fieldnames: Sequence[str], out: str | None,
                 fmt: str) -> None:
     if fmt == "csv":
-        fh = open(out, "w", newline="") if out else sys.stdout
-        try:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)
-        finally:
-            if out:
-                fh.close()
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
     else:
-        text = json.dumps(rows, indent=2)
-        if out:
-            Path(out).write_text(text + "\n")
-        else:
-            print(text)
+        text = json.dumps(rows, indent=2) + "\n"
+    if out:
+        Path(out).write_text(text, newline="")
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_probs(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
@@ -123,11 +141,10 @@ def cmd_probs(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     n_lo, n_hi = (_count(n, "n_range") for n in n_range)
     if not n_lo <= n_hi <= k:
         raise ConfigError(f"n_range must satisfy 0 <= lo <= hi <= k = {k}, got {n_range}")
-    rows = []
-    for r in zgrid:
-        dist = excitation_distribution(_spec(seq, k, complex(r)))
-        for n in range(n_lo, n_hi + 1):
-            rows.append({"abs_z": float(r), "n": n, "p": float(dist.probs[n])})
+    blocks = states._shifted_rows(seq, k, _labels(seq, k, zgrid))
+    probs = np.concatenate([w / total for _, w, total in blocks])[:, n_lo:n_hi + 1]
+    rows = [{"abs_z": r, "n": n, "p": p} for r, row in zip(zgrid.tolist(), probs.tolist())
+            for n, p in enumerate(row, n_lo)]
     _write_rows(rows, ["abs_z", "n", "p"], out, fmt)
     return 0
 
@@ -138,19 +155,18 @@ def cmd_mandel(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     base = cfg.get("sequence")
     sweep = cfg.get("param_sweep")
     if sweep:
-        pname = str(sweep["name"])
-        params = [(float(p), {**base, pname: float(p)} if isinstance(base, dict) else base)
+        names = [name for name in _sequence(base).to_json() if name != "variant"]
+        if not isinstance(sweep, dict) or sweep.get("name") not in names:
+            raise ConfigError(f"param_sweep must name one of {names}, got {sweep!r}")
+        params = [(float(p), {**base, sweep["name"]: float(p)})
                   for p in _grid(sweep, "parameter")]
     else:
         params = [(math.nan, base)]
     rows = []
     for pval, seq_cfg in params:
-        seq = _sequence(seq_cfg)
-        for r in zgrid:
-            if r == 0:
-                continue
-            rep = statistics.mandel_q(_spec(seq, k, complex(r)))
-            rows.append({"param": pval, "abs_z": float(r), "q": rep.q})
+        labels, mean, m2 = _label_moments(_sequence(seq_cfg), k, zgrid, False)
+        rows += [{"param": pval, "abs_z": r, "q": q}
+                 for r, q in zip(labels, statistics._q(mean, m2).tolist())]
     _write_rows(rows, ["param", "abs_z", "q"], out, fmt)
     return 0
 
@@ -159,12 +175,8 @@ def cmd_corr(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     seq = _sequence(cfg.get("sequence"))
     k = _k(cfg.get("k"))
     zgrid = _grid(cfg["z_grid"], "z")
-    rows = []
-    for r in zgrid:
-        if r == 0:
-            continue
-        g2 = statistics.correlation_g2(_spec(seq, k, complex(r)))
-        rows.append({"abs_z": float(r), "g2": g2})
+    labels, mean, fact2 = _label_moments(seq, k, zgrid, True)
+    rows = [{"abs_z": r, "g2": g2} for r, g2 in zip(labels, (fact2 / (mean * mean)).tolist())]
     _write_rows(rows, ["abs_z", "g2"], out, fmt)
     return 0
 
@@ -278,7 +290,6 @@ def run_verification_suite(tol_override: float | None = None) -> tuple[list[dict
         record(f"mellin-link:{name}", rep.max_residual, tol(1e-6))
 
     # polynomial roots and orthogonal pairs
-    from .gseq import MLGamma, WrightProduct
     for seq in [Factorial(), MLGamma(0.5, 0.5), WrightProduct(0.5, 0.5)]:
         rs = zeros.polynomial_roots(seq, 10)
         record(f"roots:{seq.to_json()['variant']}", float(np.max(rs.residuals)),
@@ -291,7 +302,6 @@ def run_verification_suite(tol_override: float | None = None) -> tuple[list[dict
     rng = np.random.Generator(np.random.PCG64(2024))
     worst = 0.0
     for _ in range(20):
-        from .states import random_state_spec
         spec = random_state_spec(rng, k_max=15, z_max=5.0, allow_infinite=False)
         if spec.z == 0 or spec.k < 1:
             continue

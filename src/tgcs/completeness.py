@@ -11,7 +11,7 @@ import numpy as np
 from . import specfun
 from .gseq import AuxFunction, Factorial, GSequence, MLGamma, WrightProduct
 from .specfun import KratzelParams
-from .states import INFINITE, _adaptive_log_terms, _check_term_budget
+from .states import INFINITE, _check_term_budget, _log_term_rows
 
 
 @dataclass(frozen=True)
@@ -62,15 +62,13 @@ class WeightFunction:
         return np.exp(self._log_factor(t) + log_scale)
 
     def _log_normalization(self, t: np.ndarray) -> np.ndarray:
-        """ln T at u = exp(t).  For k = inf the level is the adaptive one at the
-        largest u, whose tail bound holds at every smaller u (the terms are
-        log-concave in n); DivergenceError past MAX_TERMS terms."""
-        k = self.k
-        if k == INFINITE:
-            log_u = float(np.max(t))
-            _check_term_budget(self.seq, math.exp(log_u))
-            k = len(_adaptive_log_terms(self.seq, log_u)) - 1
-        return specfun.log_truncated_series(self.seq, int(k), t)
+        """ln T at u = exp(t), from states' log-term rows; DivergenceError where
+        a k = inf series would need more than MAX_TERMS terms."""
+        flat, top = np.ravel(t), float(np.max(t))
+        if self.k == INFINITE:
+            _check_term_budget(self.seq, math.exp(top))
+        return np.concatenate([specfun._log_sum_exp(lt) for lt in _log_term_rows(
+            self.seq, self.k, flat, top)]).reshape(np.shape(t))[()]
 
     def eval(self, u):
         """U(u) for u > 0, a float or an array."""
@@ -210,11 +208,13 @@ def weight_eval(w: WeightFunction, u: float) -> float:
 
 
 def _radial_moments(w: WeightFunction, n: np.ndarray, tol: float) -> np.ndarray:
-    """pi * int_0^inf [T(u)]^-1 U(u) u^n du for each n, one trapezoid row per n."""
+    """pi * int_0^inf [T(u)]^-1 U(u) u^n du for each n, one trapezoid row per n: ln T
+    once per node, T still divided out so that this cross-checks the cancelled route."""
 
     def f(t: np.ndarray, n: np.ndarray) -> np.ndarray:
-        u = np.exp(t)
-        return w.eval(u) / w.normalization_series(u) * u ** (n + 1.0)
+        log_norm = w._log_normalization(t)
+        with np.errstate(over="ignore"):  # U over T, each as eval and normalization_series
+            return w._factor(t, log_norm) / math.pi / np.exp(log_norm) * np.exp(t) ** (n + 1.0)
 
     return math.pi * specfun._trapezoid(f, tol, *_window(*w._tails, n), n)[0]
 
@@ -254,11 +254,7 @@ def moment_check(w: WeightFunction, n_max: int, tol: float) -> MomentReport:
     if w.k != INFINITE and n_max > int(w.k):
         raise ValueError("n_max must not exceed the truncation level")
     values = w._cancelled_moments(np.arange(n_max + 1), tol)[0].tolist()
-    rows = []
-    for n, value in enumerate(values):
-        target = w.moment_target(n)
-        rows.append(MomentRow(kind=w.label(), n=n, target=target, value=value,
-                              residual=abs(value - target) / target))
-    rows = tuple(rows)
-    return MomentReport(rows=rows, tol=tol,
-                        passed=all(r.residual <= tol for r in rows))
+    targets = [w.moment_target(n) for n in range(n_max + 1)]
+    rows = tuple(MomentRow(kind=w.label(), n=n, target=t, value=v, residual=abs(v - t) / t)
+                 for n, (v, t) in enumerate(zip(values, targets)))
+    return MomentReport(rows=rows, tol=tol, passed=all(r.residual <= tol for r in rows))

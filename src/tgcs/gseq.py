@@ -252,16 +252,9 @@ class AsymptoticFamily:
         if len(self.terms) == 0:
             raise ValueError("AsymptoticFamily requires at least one term")
         for a, b in zip(self.terms, self.terms[1:]):
-            if b.rho < a.rho:
-                raise ValueError("rho_j must be nondecreasing")
-            if b.rho == a.rho:
-                if b.w < a.w:
-                    raise ValueError("w_j must be nondecreasing when rho ties")
-                if b.w == a.w:
-                    if b.nu < a.nu:
-                        raise ValueError("nu_j must be nondecreasing when (rho, w) tie")
-                    if b.nu == a.nu and b.l >= a.l:
-                        raise ValueError("l_j must decrease when (rho, w, nu) tie")
+            if (b.rho, b.w, b.nu, -b.l) <= (a.rho, a.w, a.nu, -a.l):
+                raise ValueError("terms must be ordered by rho_j, then w_j, then nu_j "
+                                 "nondecreasing, then l_j decreasing where those tie")
 
     def leading_index(self) -> int:
         for j, t in enumerate(self.terms):

@@ -143,24 +143,6 @@ def truncated_series_scaled(g: "GSequence", k: int, z: complex) -> tuple[complex
     return total, shift
 
 
-def log_truncated_series(g: "GSequence", k: int, log_u):
-    """ln of sum_{n=0}^{k} u^n / g(n) at u = exp(log_u) > 0, element by element.
-
-    log_u is a float or an array; the (entries x (k+1)) matrix of log terms is
-    summed in row blocks of at most _BLOCK entries.
-    """
-    n = np.arange(k + 1)
-    log_g = g.log_g_array(n)
-    flat = np.ravel(log_u)
-    rows = max(1, _BLOCK // (k + 1))
-    out = np.concatenate([_log_sum_exp(np.multiply.outer(flat[i:i + rows], n) - log_g)
-                          for i in range(0, max(flat.size, 1), rows)])
-    return out.reshape(np.shape(log_u))[()]
-
-
-_BLOCK = 1 << 20  # entries of a log-term matrix summed at once
-
-
 def _scaled_exp(log_terms: np.ndarray) -> tuple[float, np.ndarray]:
     """(m, exp(log_terms - m)) with m = max(log_terms): the one max shift behind
     every positive log-series here, whose sums overflow long before their logs."""

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
 from .gseq import Factorial, GSequence, Table
-from .specfun import SERIES_ABS_TOL, _log_sum_exp, _scaled_exp, truncated_series_scaled
+from .specfun import SERIES_ABS_TOL, truncated_series_scaled
 
 INFINITE = math.inf
 # one term budget for the infinite-k convergence probe and summation
@@ -36,11 +36,13 @@ class StateSpec:
     z: complex
 
     def __post_init__(self):
+        if not math.isfinite(abs(self.z) * abs(self.z)):  # nan, inf, or |z| past 1e154
+            raise ValueError(f"|z|^2 must be a finite number, got z = {self.z!r}")
         if self.k == INFINITE:
             if isinstance(self.seq, Table):
                 raise DivergenceError("Table sequences have finite domain; k must be finite")
-            if self.z != 0:
-                _check_term_budget(self.seq, abs(self.z) ** 2)
+            if self.u != 0:
+                _check_term_budget(self.seq, self.u)
         else:
             if self.k != int(self.k) or self.k < 0:
                 raise ValueError(f"k must be a nonnegative integer or INFINITE, got {self.k}")
@@ -88,7 +90,7 @@ class FockVector:
 
 
 def _check_term_budget(seq: GSequence, u: float) -> None:
-    """Refuse a k = inf series that _adaptive_log_terms cannot sum in MAX_TERMS terms.
+    """Refuse a k = inf series that _adaptive_log_g cannot sum in MAX_TERMS terms.
 
     The terms u^n / g(n) of every parametric variant are log-concave in n
     (ln g is convex), so once the search's stopping rule holds it holds at
@@ -121,50 +123,69 @@ def _check_term_budget(seq: GSequence, u: float) -> None:
         f"normalization series needs more than {MAX_TERMS} terms for u={u:g}")
 
 
-def _adaptive_log_terms(seq: GSequence, log_u: float) -> np.ndarray:
-    """ln(u^n / g(n)) for n = 0..k, k the first level whose tail is below _LOG_TAIL_TOL.
-
-    The tail past a decreasing term is bounded by the geometric series of its
-    ratio to the previous term.  The search doubles the number of terms from
-    64, computing only the new half each round, up to MAX_TERMS.
-    """
-    lt = np.empty(0)
-    best = -math.inf
-    size = 64
+def _adaptive_log_g(seq: GSequence, log_u: float) -> np.ndarray:
+    """ln g(n) for n = 0..k, k the first level where the tail of the terms u^n / g(n)
+    is below _LOG_TAIL_TOL of the largest, the tail past a decreasing term bounded
+    by the geometric series of its ratio to the previous one.  The search doubles
+    the number of terms from 64, computing only the new half each round, up to
+    MAX_TERMS."""
+    log_g, best, prev = [], -math.inf, math.nan  # no term before n = 0: the rule applies from 1
+    start, size = 0, 64
     while size <= MAX_TERMS:
-        n = np.arange(len(lt), size)
-        new = n * log_u - seq.log_g_array(n)
-        # the largest term so far, at each new n
-        best_n = np.maximum.accumulate(np.maximum(new, best))
-        best = float(best_n[-1])
-        # the rule applies from n = 1 on
-        lo = max(len(lt), 1)
-        best_n = best_n[lo - len(lt):]
-        lt = np.concatenate((lt, new))
-        ratio = lt[lo:] - lt[lo - 1:-1]
+        n = np.arange(start, size)
+        log_g.append(seq.log_g_array(n))
+        lt = np.concatenate(([prev], n * log_u - log_g[-1]))  # from n = start - 1
+        ratio = lt[1:] - lt[:-1]
+        lt = lt[1:]
+        # the largest term so far, at each n
+        best_n = np.maximum.accumulate(np.maximum(lt, best))
         falling = np.flatnonzero(ratio < 0)
-        tail = lt[lo:][falling] - np.log1p(-np.exp(ratio[falling]))
+        tail = lt[falling] - np.log1p(-np.exp(ratio[falling]))
         done = falling[tail < _LOG_TAIL_TOL + best_n[falling]]
         if done.size:
-            return lt[:lo + done[0] + 1]
-        size *= 2
+            return np.concatenate(log_g)[:start + done[0] + 1]
+        best, prev = float(best_n[-1]), float(lt[-1])
+        start, size = size, 2 * size
     raise DivergenceError(
         f"no effective truncation level within {MAX_TERMS} terms")
 
 
-def _log_terms(spec: StateSpec) -> np.ndarray:
-    """ln(u^n / g(n)) for n = 0..k (k adaptive when infinite)."""
-    u = spec.u
-    if spec.k == INFINITE and u != 0:
-        return _adaptive_log_terms(spec.seq, math.log(u))
-    k = 0 if spec.k == INFINITE else int(spec.k)
-    n = np.arange(k + 1)
-    log_g = spec.seq.log_g_array(n)
-    if u == 0:
-        lt = np.full(k + 1, -np.inf)
-        lt[0] = -log_g[0]
-        return lt
-    return n * math.log(u) - log_g
+_BLOCK = 1 << 20  # entries of a log-term matrix built at once
+
+
+def _log_term_rows(seq: GSequence, k, log_u: np.ndarray, top: float) -> Iterator[np.ndarray]:
+    """Blocks of rows ln(u^n / g(n)), n = 0..level, at most _BLOCK entries each:
+    one row per entry of log_u = ln u (-inf: u = 0, the Kronecker row), all
+    from one ln g table.  For k = inf the level is the adaptive one at top, the
+    largest ln u, whose term budget the caller has checked (StateSpec does when
+    built); the terms are log-concave in n, so it serves every smaller u too.
+    """
+    log_g = (_adaptive_log_g(seq, top) if k == INFINITE and top > -math.inf
+             else seq.log_g_array(np.arange(1 if k == INFINITE else k + 1)))
+    n = np.arange(1, len(log_g))
+    step = max(1, _BLOCK // len(log_g))
+    for i in range(0, len(log_u), step):
+        # the n = 0 column stays 0: 0 ln u would be nan at u = 0
+        rows = np.zeros((min(step, len(log_u) - i), len(log_g)))
+        np.multiply(log_u[i:i + step, None], n, out=rows[:, 1:])
+        rows -= log_g
+        yield rows
+
+
+def _shifted_rows(seq: GSequence, k, u) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(m, w, sum of w) per row block at the labels u = |z|^2 (ln u by math.log,
+    as the scalar sums take it): each row's largest log term and its terms over it."""
+    log_u = [math.log(x) if x else -math.inf for x in u]
+    for lt in _log_term_rows(seq, k, np.array(log_u), max(log_u)):
+        m = lt.max(axis=1, keepdims=True)
+        w = np.exp(lt - m)
+        yield m, w, w.sum(axis=1, keepdims=True)
+
+
+def _one_row(spec: StateSpec) -> tuple[float, np.ndarray, float]:
+    """_shifted_rows at the spec's own label, the one-row case."""
+    (m, w, total), = _shifted_rows(spec.seq, spec.k, [spec.u])
+    return float(m[0, 0]), w[0], float(total[0, 0])
 
 
 def normalization(spec: StateSpec) -> float:
@@ -173,13 +194,13 @@ def normalization(spec: StateSpec) -> float:
 
 
 def log_normalization(spec: StateSpec) -> float:
-    return _log_sum_exp(_log_terms(spec))
+    m, _, total = _one_row(spec)
+    return m + math.log(total)
 
 
 def excitation_distribution(spec: StateSpec) -> ExcitationDistribution:
     """p(n) = |z|^(2n) / (N g(n)); the Kronecker distribution at z = 0."""
-    m, w = _scaled_exp(_log_terms(spec))
-    total = float(np.sum(w))
+    m, w, total = _one_row(spec)
     # the sum itself can exceed the double range (e.g. exp(u^rho) growth)
     norm = math.exp(m) * total if m + math.log(total) < 709.0 else math.inf
     return ExcitationDistribution(w / total, norm)
@@ -189,10 +210,9 @@ def amplitudes(spec: StateSpec) -> np.ndarray:
     """Fock coefficients N^(-1/2) z^n / sqrt(g(n)) for n = 0..k (finite k)."""
     if spec.k == INFINITE:
         raise ValueError("amplitudes requires a finite truncation level")
-    _, w = _scaled_exp(_log_terms(spec))
-    mags = np.sqrt(w / float(np.sum(w)))
+    _, w, total = _one_row(spec)
     phase = spec.z / abs(spec.z) if spec.z != 0 else 1.0 + 0.0j
-    return mags * phase ** np.arange(len(w))
+    return np.sqrt(w / total) * phase ** np.arange(len(w))
 
 
 def overlap(a: StateSpec, b: StateSpec) -> complex:

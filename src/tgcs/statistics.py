@@ -45,10 +45,28 @@ class QReport:
                 "regime": self.regime.value}
 
 
+def _moments(probs: np.ndarray, falling: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(<n>, <n^2>), or (<n>, <n(n-1)>) if falling, of each row of probabilities."""
+    n = np.arange(probs.shape[-1], dtype=float)
+    return (n * probs).sum(axis=-1), (n * (n - 1.0 if falling else n) * probs).sum(axis=-1)
+
+
+def _q(mean, m2):
+    """Q = var/mean - 1 from the first two moments."""
+    return (m2 - mean * mean) / mean - 1.0
+
+
+def _spec_moments(spec: StateSpec, falling: bool) -> tuple[float, float]:
+    mean, m = (float(x) for x in _moments(excitation_distribution(spec).probs, falling))
+    if mean == 0:
+        raise UndefinedAtOriginError("Q and g2 divide by the mean count, here 0 (|z|^2 or k is 0)")
+    return mean, m
+
+
 def number_moments(dist: ExcitationDistribution) -> tuple[float, float]:
     """(mean, second moment) of the excitation-number distribution."""
-    n = np.arange(len(dist.probs), dtype=float)
-    return float(np.sum(n * dist.probs)), float(np.sum(n * n * dist.probs))
+    mean, m2 = _moments(dist.probs, False)
+    return float(mean), float(m2)
 
 
 def _classify(q: float) -> Regime:
@@ -61,13 +79,9 @@ def _classify(q: float) -> Regime:
 
 def mandel_q(spec: StateSpec) -> QReport:
     """Q = var(N)/mean(N) - 1 from the excitation distribution."""
-    if spec.z == 0:
-        raise UndefinedAtOriginError("Mandel Q is undefined at z = 0 (mean count is 0)")
-    dist = excitation_distribution(spec)
-    mean, m2 = number_moments(dist)
-    var = m2 - mean * mean
-    q = var / mean - 1.0
-    return QReport(q=q, mean_n=mean, var_n=var, regime=_classify(q))
+    mean, m2 = _spec_moments(spec, False)
+    q = _q(mean, m2)
+    return QReport(q=q, mean_n=mean, var_n=m2 - mean * mean, regime=_classify(q))
 
 
 def _log_weighted_sum(log_g: np.ndarray, log_u: float, offset: int,
@@ -150,14 +164,7 @@ def q_large_label_approx(seq: GSequence, k: int, z: complex) -> float:
 
 def correlation_g2(spec: StateSpec) -> float:
     """Second-order correlation sum n(n-1)p(n) / (sum n p(n))^2."""
-    if spec.z == 0:
-        raise UndefinedAtOriginError("g2 is undefined at z = 0 (mean count is 0)")
-    if spec.k != INFINITE and spec.k < 1:
-        raise ValueError("g2 requires k >= 1")
-    dist = excitation_distribution(spec)
-    n = np.arange(len(dist.probs), dtype=float)
-    mean = float(np.sum(n * dist.probs))
-    fact2 = float(np.sum(n * (n - 1.0) * dist.probs))
+    mean, fact2 = _spec_moments(spec, True)
     return fact2 / (mean * mean)
 
 

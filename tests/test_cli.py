@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, output formats, determinism."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -8,10 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tgcs
 from tgcs.cli import main
+from tgcs.states import INFINITE, StateSpec, excitation_distribution, random_state_spec
+from tgcs.statistics import correlation_g2, mandel_q
 
 ML_HALF = {"variant": "ml_gamma", "alpha": 0.5, "beta": 0.5}
 
@@ -94,6 +98,79 @@ class TestCorr:
         assert main(["corr", "--config", cfg, "--out", str(out)]) == 0
         rows = read_csv(out)
         assert all(float(r["g2"]) == pytest.approx(1.0, abs=1e-9) for r in rows)
+
+
+def _cli_bytes(tmp_path, command, cfg):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out.csv"
+    rc = main([command, "--config", path, "--out", str(out)])
+    return rc, out.read_bytes() if rc == 0 else None
+
+
+def _csv_bytes(fieldnames, rows):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _grid(grid):
+    if grid.get("scale") == "log":
+        return np.geomspace(grid["min"], grid["max"], grid["points"])
+    return np.linspace(grid["min"], grid["max"], grid["points"])
+
+
+class TestGridRoute:
+    """The probs/mandel/corr grids, one log-term matrix per grid, against the
+    one-row route (a StateSpec per label)."""
+
+    def test_finite_grids_are_the_one_row_route(self, tmp_path):
+        rng = np.random.default_rng(2026)
+        for _ in range(16):
+            spec = random_state_spec(rng, k_max=200, allow_infinite=False)
+            zmax = rng.uniform(0.5, 10.0)
+            for grid in ({"min": 0.0, "max": zmax, "points": 9},
+                         {"min": 0.01, "max": zmax, "points": 9, "scale": "log"}):
+                cfg = {"sequence": spec.seq.to_json(), "k": spec.k, "z_grid": grid}
+                labels = [(float(r), StateSpec(spec.seq, spec.k, complex(r)))
+                          for r in _grid(grid)]
+                probs = [{"abs_z": r, "n": n, "p": float(p)} for r, s in labels
+                         for n, p in enumerate(excitation_distribution(s).probs)]
+                q = [{"param": math.nan, "abs_z": r, "q": mandel_q(s).q}
+                     for r, s in labels if r != 0]
+                g2 = [{"abs_z": r, "g2": correlation_g2(s)} for r, s in labels if r != 0]
+                assert _cli_bytes(tmp_path, "probs", cfg) == (0, _csv_bytes(
+                    ["abs_z", "n", "p"], probs))
+                assert _cli_bytes(tmp_path, "mandel", cfg) == (0, _csv_bytes(
+                    ["param", "abs_z", "q"], q))
+                assert _cli_bytes(tmp_path, "corr", cfg) == (0, _csv_bytes(
+                    ["abs_z", "g2"], g2))
+
+    def test_infinite_grids_agree_with_the_one_row_route(self, tmp_path):
+        # a k = inf grid sums every label to the level of its largest |z|, the
+        # one-row route each label to its own level: Q agrees on the scale of
+        # `tgcs verify`, and g2 = 1 + Q/<n> on that scale over <n>
+        rng = np.random.default_rng(2027)
+        for i in range(16):
+            seq = random_state_spec(rng, allow_infinite=False).seq
+            zmax = rng.uniform(0.5, 5.0)
+            grid = ({"min": 0.0, "max": zmax, "points": 11} if i % 2 else
+                    {"min": 0.01, "max": zmax, "points": 11, "scale": "log"})
+            cfg = {"sequence": seq.to_json(), "k": "inf", "z_grid": grid}
+            (rc_q, q_text), (rc_g2, g2_text) = (_cli_bytes(tmp_path, command, cfg)
+                                                for command in ("mandel", "corr"))
+            assert rc_q == rc_g2 == 0
+            q_rows = list(csv.DictReader(io.StringIO(q_text.decode())))
+            g2_rows = list(csv.DictReader(io.StringIO(g2_text.decode())))
+            assert len(q_rows) == len(g2_rows) == np.count_nonzero(_grid(grid))
+            for qr, gr in zip(q_rows, g2_rows):
+                r = float(qr["abs_z"])
+                rep = mandel_q(StateSpec(seq, INFINITE, complex(r)))
+                scale = 1e-10 * max(abs(rep.q), 1e-3 * (1.0 + r * r))
+                assert abs(float(qr["q"]) - rep.q) <= scale
+                g2 = correlation_g2(StateSpec(seq, INFINITE, complex(r)))
+                assert abs(float(gr["g2"]) - g2) <= scale / rep.mean_n
 
 
 class TestZeros:
@@ -219,11 +296,26 @@ class TestVerifyAndErrors:
         ("moments", {"weight": {"kind": "ml", "alpha": 1.0, "beta": 1.0}, "tol": -1}),
         ("verify", {"tol": "nan"}),
         ("verify", {"tol": -1}),
+        ("mandel", {"sequence": ML_HALF, "k": 0,
+                    "z_grid": {"min": 0.5, "max": 1.0, "points": 2}}),
+        ("corr", {"sequence": ML_HALF, "k": 0,
+                  "z_grid": {"min": 0.5, "max": 1.0, "points": 2}}),
+        ("probs", {"sequence": ML_HALF, "k": 4,
+                   "z_grid": {"min": 0.0, "max": math.inf, "points": 2}}),
+        ("probs", {"sequence": ML_HALF, "k": 4,
+                   "z_grid": {"min": math.nan, "max": 1.0, "points": 2}}),
+        ("probs", {"sequence": ML_HALF, "k": 4,
+                   "z_grid": {"min": 0.5, "max": -1.0, "points": 2, "scale": "log"}}),
+        ("mandel", {"sequence": {"variant": "g1", "nu": 1.0, "rho": 1.0, "w": 1.0},
+                    "k": 10, "z_grid": {"min": 0.5, "max": 1.0, "points": 2},
+                    "param_sweep": {"name": "x", "min": 0.5, "max": 1.0, "points": 3}}),
     ], ids=["bad-grid", "negative-n", "n-past-k", "bool-k", "k-past-table",
             "invalid-sweep-value", "divergent-series", "past-term-budget",
             "degree-past-cap", "non-integer-weight-k", "n-max-past-k",
             "negative-weight-alpha", "moments-nan-tol", "moments-negative-tol",
-            "verify-nan-tol", "verify-negative-tol"])
+            "verify-nan-tol", "verify-negative-tol", "mandel-k-zero", "corr-k-zero",
+            "infinite-grid-max", "nan-grid-min", "log-grid-nonpositive-max",
+            "unknown-sweep-name"])
     def test_bad_config_is_refused(self, tmp_path, capsys, command, cfg):
         path = write_config(tmp_path, "cfg.json", cfg)
         assert main([command, "--config", path]) == 2

@@ -9,9 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tgcs.gseq import Factorial, MLGamma, WrightProduct
-from tgcs.specfun import (KratzelParams, kratzel_kernel, log_gamma,
-                          log_truncated_series, mittag_leffler, truncated_series,
-                          truncated_series_scaled, wright)
+from tgcs.specfun import (KratzelParams, _log_sum_exp, kratzel_kernel, log_gamma,
+                          mittag_leffler, truncated_series, truncated_series_scaled,
+                          wright)
+from tgcs.states import _log_term_rows
 
 
 def mpmath_kratzel(lam: float, mu: float, u: float) -> float:
@@ -155,10 +156,12 @@ class TestTruncatedSeries:
             10 * math.log(1e200) - math.lgamma(11), rel=1e-12)
 
     def test_log_form(self):
+        # ln of the series from states' log-term rows against the polynomial
         seq = MLGamma(1.5, 0.5)
-        u = 3.0
-        assert log_truncated_series(seq, 12, math.log(u)) == pytest.approx(
-            math.log(truncated_series(seq, 12, u).real), rel=1e-13)
+        u = np.array([3.0, 0.2])
+        rows, = _log_term_rows(seq, 12, np.log(u), math.log(3.0))
+        assert _log_sum_exp(rows) == pytest.approx(
+            [math.log(truncated_series(seq, 12, x).real) for x in u], rel=1e-13)
 
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):

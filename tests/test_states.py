@@ -42,6 +42,13 @@ class TestStateSpec:
         assert 2_000_000 < len(dist.probs) <= MAX_TERMS
         assert abs(float(np.sum(dist.probs)) - 1.0) <= 1e-12
 
+    def test_non_finite_label_rejected(self):
+        for z in [math.nan, math.inf, complex(0.0, -math.inf), complex(1.0, math.nan),
+                  1e200]:  # |z|^2 past the double range
+            for k in [5, INFINITE]:
+                with pytest.raises(ValueError):
+                    StateSpec(Factorial(), k, z)
+
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
             StateSpec(Factorial(), -1, 1.0)

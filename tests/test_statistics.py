@@ -53,6 +53,15 @@ class TestMandelQ:
         with pytest.raises(UndefinedAtOriginError):
             mandel_q_closed_form(Factorial(), 4, 0.0)
 
+    def test_zero_mean_count_is_undefined(self):
+        # k = 0, and a label whose |z|^2 underflows to 0: the mean count is 0
+        for spec in [StateSpec(Factorial(), 0, 1.0), StateSpec(MLGamma(0.5, 0.5), 6, 1e-200),
+                     StateSpec(Factorial(), INFINITE, 1e-200j)]:
+            with pytest.raises(UndefinedAtOriginError):
+                mandel_q(spec)
+            with pytest.raises(UndefinedAtOriginError):
+                correlation_g2(spec)
+
     def test_canonical_truncated_boundary_is_negative(self):
         # g(0)g(2)/g(1)^2 = 2 exactly; the k=2 truncation stays sub-poissonian
         for u in [0.01, 0.5, 1.0, 10.0]:
