@@ -31,7 +31,7 @@ class SampleRun:
                 "stderr_q": self.stderr_q}
 
 
-def _q_from_sums(s1: float, s2: float, n: float) -> float:
+def _q_from_sums(s1, s2, n: float):
     mean = s1 / n
     var = (s2 - s1 * s1 / n) / (n - 1.0)
     return var / mean - 1.0
@@ -74,9 +74,7 @@ def _jackknife_stderr_q(counts: np.ndarray, s1: float, s2: float,
         return 0.0
     if s1 == vals[-1]:
         return None
-    q_del = np.empty(len(vals))
-    for i, v in enumerate(vals):
-        q_del[i] = _q_from_sums(s1 - v, s2 - v * v, n - 1.0)
+    q_del = _q_from_sums(s1 - vals, s2 - vals * vals, n - 1.0)
     weights = counts[vals].astype(float)
     q_bar = float(np.dot(weights, q_del)) / n
     var_jack = (n - 1.0) / n * float(np.dot(weights, (q_del - q_bar) ** 2))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterator
 
 import numpy as np
@@ -55,6 +56,17 @@ class StateSpec:
     def u(self) -> float:
         """|z|^2, the single real parameter all statistics depend on."""
         return abs(self.z) ** 2
+
+    @cached_property  # kept in the instance __dict__, outside eq, hash and repr
+    def _row(self) -> tuple[np.ndarray, float, float]:
+        """(p(0..k) read-only, N, ln N) from _shifted_rows at the spec's label, once."""
+        (m, w, total), = _shifted_rows(self.seq, self.k, [self.u])
+        m, total = float(m[0, 0]), float(total[0, 0])
+        probs = w[0] / total
+        probs.flags.writeable = False
+        log_norm = m + math.log(total)
+        # the sum itself can exceed the double range (e.g. exp(u^rho) growth)
+        return probs, math.exp(m) * total if log_norm < 709.0 else math.inf, log_norm
 
     def to_json(self) -> dict[str, Any]:
         return {"seq": self.seq.to_json(),
@@ -182,37 +194,26 @@ def _shifted_rows(seq: GSequence, k, u) -> Iterator[tuple[np.ndarray, np.ndarray
         yield m, w, w.sum(axis=1, keepdims=True)
 
 
-def _one_row(spec: StateSpec) -> tuple[float, np.ndarray, float]:
-    """_shifted_rows at the spec's own label, the one-row case."""
-    (m, w, total), = _shifted_rows(spec.seq, spec.k, [spec.u])
-    return float(m[0, 0]), w[0], float(total[0, 0])
-
-
 def normalization(spec: StateSpec) -> float:
     """N_{k,g}(|z|^2) = sum_{n=0}^{k} |z|^(2n) / g(n)."""
     return excitation_distribution(spec).norm
 
 
 def log_normalization(spec: StateSpec) -> float:
-    m, _, total = _one_row(spec)
-    return m + math.log(total)
+    return spec._row[2]
 
 
 def excitation_distribution(spec: StateSpec) -> ExcitationDistribution:
     """p(n) = |z|^(2n) / (N g(n)); the Kronecker distribution at z = 0."""
-    m, w, total = _one_row(spec)
-    # the sum itself can exceed the double range (e.g. exp(u^rho) growth)
-    norm = math.exp(m) * total if m + math.log(total) < 709.0 else math.inf
-    return ExcitationDistribution(w / total, norm)
+    return ExcitationDistribution(*spec._row[:2])
 
 
 def amplitudes(spec: StateSpec) -> np.ndarray:
     """Fock coefficients N^(-1/2) z^n / sqrt(g(n)) for n = 0..k (finite k)."""
     if spec.k == INFINITE:
         raise ValueError("amplitudes requires a finite truncation level")
-    _, w, total = _one_row(spec)
     phase = spec.z / abs(spec.z) if spec.z != 0 else 1.0 + 0.0j
-    return np.sqrt(w / total) * phase ** np.arange(len(w))
+    return np.sqrt(spec._row[0]) * phase ** np.arange(spec.k + 1)
 
 
 def overlap(a: StateSpec, b: StateSpec) -> complex:

@@ -1,13 +1,16 @@
 """Monte-Carlo count sampling: determinism, histogram accuracy, Q estimation."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tgcs.gseq import Factorial, MLGamma
-from tgcs.sampler import sample_counts
+from tgcs.sampler import _jackknife_stderr_q, _q_from_sums, sample_counts
 from tgcs.states import (ExcitationDistribution, StateSpec, excitation_distribution,
                          random_state_spec)
 from tgcs.statistics import mandel_q
@@ -85,6 +88,14 @@ class TestEstimators:
         assert run.stderr_q is None
         assert json.loads(json.dumps(run.to_json(), allow_nan=False))["stderr_q"] is None
 
+    def test_single_distinct_value_has_zero_stderr(self):
+        # every draw is n = 1: each deletion leaves the same sample
+        dist = ExcitationDistribution(np.array([0.0, 1.0, 0.0]), 1.0)
+        run = sample_counts(dist, 500, seed=4)
+        assert run.counts.tolist() == [0, 500, 0]
+        assert run.q_hat == -1.0
+        assert run.stderr_q == 0.0
+
     def test_json_schema(self):
         dist = excitation_distribution(StateSpec(Factorial(), 5, 0.5))
         run = sample_counts(dist, 100, seed=21)
@@ -97,3 +108,37 @@ class TestEstimators:
         dist = excitation_distribution(StateSpec(Factorial(), 5, 0.5))
         with pytest.raises(ValueError):
             sample_counts(dist, 0, seed=1)
+
+
+def _jackknife_by_loop(counts, s1, s2, n):
+    """The per-value loop that the vectorized jackknife replaced, kept as its oracle."""
+    vals = np.nonzero(counts)[0]
+    if len(vals) < 2:
+        return 0.0
+    if s1 == vals[-1]:
+        return None
+    q_del = np.empty(len(vals))
+    for i, v in enumerate(vals):
+        q_del[i] = _q_from_sums(s1 - v, s2 - v * v, n - 1.0)
+    weights = counts[vals].astype(float)
+    q_bar = float(np.dot(weights, q_del)) / n
+    var_jack = (n - 1.0) / n * float(np.dot(weights, (q_del - q_bar) ** 2))
+    return math.sqrt(var_jack)
+
+
+class TestJackknife:
+    @given(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=200))
+    @example([499, 1])  # one nonzero draw: None
+    @example([0, 0, 7])  # one distinct value: 0.0
+    @example([0, 1, 1])  # two draws: each deletion leaves one, var is 0/0 (nan)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_value_loop(self, hist):
+        counts = np.array(hist, dtype=np.int64)
+        values = np.arange(len(counts), dtype=float)
+        s1 = float(np.dot(values, counts))
+        s2 = float(np.dot(values * values, counts))
+        n = float(counts.sum())
+        with np.errstate(all="ignore"):
+            got = _jackknife_stderr_q(counts, s1, s2, n)
+            want = _jackknife_by_loop(counts, s1, s2, n)
+        assert repr(got) == repr(want)  # bit for bit, None and nan included

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tgcs import states
 from tgcs.completeness import MLWeight
 from tgcs.gseq import Factorial, G1, MLGamma, Table, WrightProduct
 from tgcs.specfun import mittag_leffler, wright
@@ -16,6 +17,7 @@ from tgcs.states import (DivergenceError, FockVector, INFINITE, MAX_TERMS,
                          excitation_distribution, log_normalization,
                          normalization, overlap,
                          random_state_spec)
+from tgcs.statistics import correlation_g2, mandel_q
 
 
 class TestStateSpec:
@@ -114,13 +116,23 @@ class TestExcitationDistribution:
             assert abs(rot.probs - base.probs).max() <= 1e-15
 
     @given(st.integers(0, 2 ** 32 - 1))
+    @example(15834523)  # MLGamma at u = 73.16: past the term budget
     @settings(max_examples=60, deadline=None)
     def test_probabilities_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
-        spec = random_state_spec(rng)
+        try:
+            spec = random_state_spec(rng)
+        except DivergenceError:
+            # about 0.1% of seeds draw a k = inf spec that needs more than
+            # MAX_TERMS terms; it is refused when built, with the typed error
+            return
         dist = excitation_distribution(spec)
         assert abs(float(np.sum(dist.probs)) - 1.0) <= 1e-12
         assert np.all(dist.probs >= 0.0)
+
+    def test_spec_past_the_term_budget_is_refused(self):
+        with pytest.raises(DivergenceError, match="more than 2097152 terms"):
+            random_state_spec(np.random.default_rng(15834523))
 
     def test_slow_mittag_leffler_series_is_summed(self):
         # MLGamma(0.2149, 2.0167) at u = 12.74: the terms peak near n = 6.5e5
@@ -146,6 +158,53 @@ class TestExcitationDistribution:
     def test_large_label_concentrates_at_k(self):
         dist = excitation_distribution(StateSpec(WrightProduct(0.5, 0.5), 6, 1e4))
         assert dist.probs[6] > 0.999
+
+
+class TestOneRowPerSpec:
+    """A spec builds its distribution once; every one-row reader shares it."""
+
+    SPECS = [StateSpec(MLGamma(0.5, 1.5), INFINITE, 2.0 - 1.0j),
+             StateSpec(WrightProduct(0.7, 1.2), 9, 1.3j)]
+
+    def test_row_is_built_once(self, monkeypatch):
+        calls = []
+        shifted_rows = states._shifted_rows
+        monkeypatch.setattr(states, "_shifted_rows",
+                            lambda *a: calls.append(a) or shifted_rows(*a))
+        spec = StateSpec(MLGamma(0.5, 1.5), INFINITE, 2.0)
+        excitation_distribution(spec)
+        normalization(spec)
+        log_normalization(spec)
+        mandel_q(spec)
+        correlation_g2(spec)
+        assert len(calls) == 1
+        excitation_distribution(StateSpec(MLGamma(0.5, 1.5), INFINITE, 2.0))
+        assert len(calls) == 2  # the row belongs to the instance, not to a global cache
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["inf", "finite"])
+    def test_probabilities_are_read_only(self, spec):
+        probs = excitation_distribution(spec).probs
+        with pytest.raises(ValueError):
+            probs[0] = 0.5
+        with pytest.raises(ValueError):
+            probs *= 2.0
+        assert excitation_distribution(spec).probs[0] == probs[0]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["inf", "finite"])
+    def test_filled_row_changes_no_value(self, spec):
+        filled, empty = StateSpec.from_json(spec.to_json()), StateSpec.from_json(spec.to_json())
+        excitation_distribution(filled)
+        assert "_row" in vars(filled) and "_row" not in vars(empty)
+        assert filled == empty and hash(filled) == hash(empty)
+        assert repr(filled) == repr(empty) and filled.to_json() == empty.to_json()
+        fresh = StateSpec.from_json(spec.to_json())
+        a, b = excitation_distribution(filled), excitation_distribution(fresh)
+        assert a.probs.tobytes() == b.probs.tobytes() and a.norm == b.norm
+        assert log_normalization(filled) == log_normalization(fresh)
+        assert mandel_q(filled) == mandel_q(fresh)
+        assert correlation_g2(filled) == correlation_g2(fresh)
+        if spec.k != INFINITE:
+            assert amplitudes(filled).tobytes() == amplitudes(fresh).tobytes()
 
 
 class TestAmplitudes:
