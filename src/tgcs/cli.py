@@ -7,14 +7,12 @@ reached), 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -113,20 +111,40 @@ def _label_moments(seq: GSequence, k, zgrid: np.ndarray, falling: bool):
     return zgrid[keep].tolist(), mean[keep], m[keep]
 
 
-def _write_rows(rows: list[dict], fieldnames: Sequence[str], out: str | None,
-                fmt: str) -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
+def _csv_cell(value: Any) -> str:
+    """A cell as the csv module writes it: str(value), quoted when it holds , " CR or LF."""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, newline="")
     else:
         sys.stdout.write(text)
+
+
+def _write_rows(fieldnames: Sequence[str], runs: Iterable[tuple[tuple, Iterable[tuple]]],
+                out: str | None, fmt: str) -> None:
+    """Write a table as CSV (as csv.writer writes it) or as a JSON list of records.
+
+    The table comes in runs (lead, rows): every row of a run starts with the
+    cells of `lead`, which may be text, and goes on with the cells of one
+    tuple of `rows`, numbers only, at least one. A lead cell is formatted once
+    per run, every other cell once.
+    """
+    if fmt == "json":
+        records = [dict(zip(fieldnames, lead + row)) for lead, rows in runs for row in rows]
+        _write(json.dumps(records, indent=2) + "\n", out)
+        return
+    parts = [",".join(map(_csv_cell, fieldnames)), "\r\n"]
+    for lead, rows in runs:
+        prefix = "".join([_csv_cell(c) + "," for c in lead])
+        line = ",".join(["%s"] * (len(fieldnames) - len(lead))) + "\r\n"
+        parts += map(prefix.__add__, map(line.__mod__, rows))
+    _write("".join(parts), out)
 
 
 def cmd_probs(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
@@ -143,9 +161,8 @@ def cmd_probs(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
         raise ConfigError(f"n_range must satisfy 0 <= lo <= hi <= k = {k}, got {n_range}")
     blocks = states._shifted_rows(seq, k, _labels(seq, k, zgrid))
     probs = np.concatenate([w / total for _, w, total in blocks])[:, n_lo:n_hi + 1]
-    rows = [{"abs_z": r, "n": n, "p": p} for r, row in zip(zgrid.tolist(), probs.tolist())
-            for n, p in enumerate(row, n_lo)]
-    _write_rows(rows, ["abs_z", "n", "p"], out, fmt)
+    runs = [((r,), enumerate(row, n_lo)) for r, row in zip(zgrid.tolist(), probs.tolist())]
+    _write_rows(["abs_z", "n", "p"], runs, out, fmt)
     return 0
 
 
@@ -162,12 +179,11 @@ def cmd_mandel(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
                   for p in _grid(sweep, "parameter")]
     else:
         params = [(math.nan, base)]
-    rows = []
+    runs = []
     for pval, seq_cfg in params:
         labels, mean, m2 = _label_moments(_sequence(seq_cfg), k, zgrid, False)
-        rows += [{"param": pval, "abs_z": r, "q": q}
-                 for r, q in zip(labels, statistics._q(mean, m2).tolist())]
-    _write_rows(rows, ["param", "abs_z", "q"], out, fmt)
+        runs.append(((pval,), zip(labels, statistics._q(mean, m2).tolist())))
+    _write_rows(["param", "abs_z", "q"], runs, out, fmt)
     return 0
 
 
@@ -176,8 +192,8 @@ def cmd_corr(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     k = _k(cfg.get("k"))
     zgrid = _grid(cfg["z_grid"], "z")
     labels, mean, fact2 = _label_moments(seq, k, zgrid, True)
-    rows = [{"abs_z": r, "g2": g2} for r, g2 in zip(labels, (fact2 / (mean * mean)).tolist())]
-    _write_rows(rows, ["abs_z", "g2"], out, fmt)
+    _write_rows(["abs_z", "g2"], [((), zip(labels, (fact2 / (mean * mean)).tolist()))],
+                out, fmt)
     return 0
 
 
@@ -190,8 +206,8 @@ def cmd_zeros(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
         rs = zeros.polynomial_roots(seq, k)
     except (IndexError, zeros.RootFindingError) as exc:
         raise ConfigError(f"bad degree: {exc}") from exc
-    rows = list(rs.to_csv_rows())
-    _write_rows(rows, ["re", "im", "residual"], out, fmt)
+    _write_rows(["re", "im", "residual"],
+                [((), zip(rs.roots.real, rs.roots.imag, rs.residuals))], out, fmt)
     return 0
 
 
@@ -229,8 +245,9 @@ def cmd_moments(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     except QuadratureError as exc:
         print(f"moments: tol {tol:g} not reached: {exc}", file=sys.stderr)
         return 1
-    rows = list(report.to_csv_rows())
-    _write_rows(rows, ["kind", "n", "target", "value", "residual"], out, fmt)
+    rows = [(r.n, r.target, r.value, r.residual) for r in report.rows]
+    _write_rows(["kind", "n", "target", "value", "residual"],
+                [((report.rows[0].kind,), rows)], out, fmt)  # one weight, one kind
     return 0
 
 
@@ -249,9 +266,10 @@ def cmd_sample(cfg: dict[str, Any], out: str | None, fmt: str,
     seed = seed_override if seed_override is not None else _count(cfg.get("seed", 0), "seed")
     dist = excitation_distribution(_spec(seq, k, z))
     run = sampler.sample_counts(dist, n_samples, seed)
-    rows = ([{"n": n, "count": int(c)} for n, c in enumerate(run.counts)]
-            if fmt == "csv" else run.to_json())
-    _write_rows(rows, ["n", "count"], out, fmt)
+    if fmt == "json":
+        _write(json.dumps(run.to_json(), indent=2) + "\n", out)
+    else:
+        _write_rows(["n", "count"], [((), enumerate(run.counts.tolist()))], out, fmt)
     return 0
 
 
@@ -330,7 +348,9 @@ def cmd_verify(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
         print(f"[{status}] {c['check']}: residual {c['residual']:.3e} "
               f"(tol {c['tol']:.1e})")
     if out:
-        _write_rows(checks, ["check", "residual", "tol", "passed"], out, fmt)
+        _write_rows(["check", "residual", "tol", "passed"],
+                    [((c["check"],), [(c["residual"], c["tol"], c["passed"])]) for c in checks],
+                    out, fmt)
     return 0 if ok else 1
 
 

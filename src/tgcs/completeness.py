@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -242,11 +242,6 @@ class MomentReport:
     @property
     def max_residual(self) -> float:
         return max(r.residual for r in self.rows)
-
-    def to_csv_rows(self) -> Iterable[dict]:
-        for r in self.rows:
-            yield {"kind": r.kind, "n": r.n, "target": r.target,
-                   "value": r.value, "residual": r.residual}
 
 
 def moment_check(w: WeightFunction, n_max: int, tol: float) -> MomentReport:

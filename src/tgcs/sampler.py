@@ -51,7 +51,7 @@ def sample_counts(dist: ExcitationDistribution, n_samples: int, seed: int) -> Sa
     s1 = float(np.dot(values, counts))
     s2 = float(np.dot(values * values, counts))
     n = float(n_samples)
-    if s1 == 0.0:
+    if s1 == 0.0 or n_samples < 2:  # Q needs a mean above 0 and a variance
         return SampleRun(seed=seed, n_samples=n_samples, counts=counts,
                          q_hat=None, g2_hat=None, stderr_q=None)
 
@@ -66,9 +66,12 @@ def _jackknife_stderr_q(counts: np.ndarray, s1: float, s2: float,
                         n: float) -> float | None:
     """Delete-1 jackknife, grouped by the distinct count values in the histogram.
 
-    None when a single draw is nonzero: deleting it leaves the mean at 0,
-    where Q is undefined, as q_hat is for s1 = 0.
+    None below 3 draws, where a deletion leaves one draw and no variance, and
+    when a single draw is nonzero: deleting it leaves the mean at 0, where Q
+    is undefined, as q_hat is for s1 = 0.
     """
+    if n < 3.0:
+        return None
     vals = np.nonzero(counts)[0]
     if len(vals) < 2:
         return 0.0

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -25,10 +24,6 @@ class RootSet:
 
     roots: np.ndarray
     residuals: np.ndarray
-
-    def to_csv_rows(self) -> Iterable[dict]:
-        for r, res in zip(self.roots, self.residuals):
-            yield {"re": r.real, "im": r.imag, "residual": res}
 
 
 def polynomial_roots(seq: GSequence, k: int) -> RootSet:

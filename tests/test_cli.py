@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, output formats, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -11,11 +12,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import tgcs
+from tgcs import cli
 from tgcs.cli import main
+from tgcs.completeness import MLWeight, WrightWeight, moment_check
+from tgcs.gseq import Factorial, GSequence
+from tgcs.sampler import sample_counts
 from tgcs.states import INFINITE, StateSpec, excitation_distribution, random_state_spec
 from tgcs.statistics import correlation_g2, mandel_q
+from tgcs.zeros import polynomial_roots
 
 ML_HALF = {"variant": "ml_gamma", "alpha": 0.5, "beta": 0.5}
 
@@ -100,19 +108,28 @@ class TestCorr:
         assert all(float(r["g2"]) == pytest.approx(1.0, abs=1e-9) for r in rows)
 
 
-def _cli_bytes(tmp_path, command, cfg):
+def _cli_bytes(tmp_path, command, cfg, fmt="csv"):
     path = write_config(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out.csv"
-    rc = main([command, "--config", path, "--out", str(out)])
+    rc = main([command, "--config", path, "--out", str(out), "--format", fmt])
     return rc, out.read_bytes() if rc == 0 else None
 
 
 def _csv_bytes(fieldnames, rows):
+    """The reference CSV writer: csv.DictWriter over one dict per row."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue().encode()
+
+
+def _json_bytes(payload):
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def _table_bytes(fmt, fieldnames, rows):
+    return _csv_bytes(fieldnames, rows) if fmt == "csv" else _json_bytes(rows)
 
 
 def _grid(grid):
@@ -140,12 +157,13 @@ class TestGridRoute:
                 q = [{"param": math.nan, "abs_z": r, "q": mandel_q(s).q}
                      for r, s in labels if r != 0]
                 g2 = [{"abs_z": r, "g2": correlation_g2(s)} for r, s in labels if r != 0]
-                assert _cli_bytes(tmp_path, "probs", cfg) == (0, _csv_bytes(
-                    ["abs_z", "n", "p"], probs))
-                assert _cli_bytes(tmp_path, "mandel", cfg) == (0, _csv_bytes(
-                    ["param", "abs_z", "q"], q))
-                assert _cli_bytes(tmp_path, "corr", cfg) == (0, _csv_bytes(
-                    ["abs_z", "g2"], g2))
+                for fmt in ("csv", "json"):
+                    assert _cli_bytes(tmp_path, "probs", cfg, fmt) == (0, _table_bytes(
+                        fmt, ["abs_z", "n", "p"], probs))
+                    assert _cli_bytes(tmp_path, "mandel", cfg, fmt) == (0, _table_bytes(
+                        fmt, ["param", "abs_z", "q"], q))
+                    assert _cli_bytes(tmp_path, "corr", cfg, fmt) == (0, _table_bytes(
+                        fmt, ["abs_z", "g2"], g2))
 
     def test_infinite_grids_agree_with_the_one_row_route(self, tmp_path):
         # a k = inf grid sums every label to the level of its largest |z|, the
@@ -171,6 +189,113 @@ class TestGridRoute:
                 assert abs(float(qr["q"]) - rep.q) <= scale
                 g2 = correlation_g2(StateSpec(seq, INFINITE, complex(r)))
                 assert abs(float(gr["g2"]) - g2) <= scale / rep.mean_n
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+class TestOutputBytes:
+    """Each subcommand's output against csv.DictWriter or json.dumps over one
+    record per row, built from the library calls."""
+
+    def test_probs_n_range(self, tmp_path, fmt):
+        rng = np.random.default_rng(2028)
+        for _ in range(12):
+            spec = random_state_spec(rng, k_max=80, allow_infinite=False)
+            k = max(int(spec.k), 1)
+            lo = int(rng.integers(1, k + 1))
+            hi = int(rng.integers(lo, k + 1))
+            grid = {"min": 0.0, "max": float(rng.uniform(0.5, 8.0)), "points": 5}
+            cfg = {"sequence": spec.seq.to_json(), "k": k, "z_grid": grid, "n_range": [lo, hi]}
+            rows = [{"abs_z": float(r), "n": n, "p": float(p)} for r in _grid(grid)
+                    for n, p in enumerate(excitation_distribution(
+                        StateSpec(spec.seq, k, complex(r))).probs[lo:hi + 1], lo)]
+            assert _cli_bytes(tmp_path, "probs", cfg, fmt) == (
+                0, _table_bytes(fmt, ["abs_z", "n", "p"], rows))
+
+    def test_mandel_param_sweep(self, tmp_path, fmt):
+        base = {"variant": "wright_product", "lam": 1.0, "mu": 0.5}
+        sweep = {"name": "lam", "min": 0.5, "max": 6.0, "points": 4}
+        grid = {"min": 0.01, "max": 5.0, "points": 6, "scale": "log"}
+        cfg = {"sequence": base, "k": 12, "z_grid": grid, "param_sweep": sweep}
+        rows = [{"param": float(lam), "abs_z": float(r), "q": mandel_q(StateSpec(
+                    GSequence.from_json({**base, "lam": float(lam)}), 12, complex(r))).q}
+                for lam in _grid(sweep) for r in _grid(grid)]
+        assert _cli_bytes(tmp_path, "mandel", cfg, fmt) == (
+            0, _table_bytes(fmt, ["param", "abs_z", "q"], rows))
+
+    @pytest.mark.parametrize("k", [1, 7, 30])
+    def test_zeros(self, tmp_path, fmt, k):
+        rs = polynomial_roots(Factorial(), k)
+        rows = [{"re": r.real, "im": r.imag, "residual": res}
+                for r, res in zip(rs.roots, rs.residuals)]
+        assert _cli_bytes(tmp_path, "zeros", {"sequence": {"variant": "factorial"}, "k": k},
+                          fmt) == (0, _table_bytes(fmt, ["re", "im", "residual"], rows))
+
+    @pytest.mark.parametrize("wcfg, weight", [
+        ({"kind": "ml", "alpha": 1.0, "beta": 1.0, "n_max": 3},
+         MLWeight(1.0, 1.0, INFINITE)),
+        ({"kind": "wright", "lam": 1.0, "mu": 1.0, "k": 4, "n_max": 2},
+         WrightWeight(1.0, 1.0, 4)),
+    ])
+    def test_moments(self, tmp_path, fmt, wcfg, weight):
+        report = moment_check(weight, wcfg["n_max"], 1e-6)
+        rows = [{"kind": r.kind, "n": r.n, "target": r.target, "value": r.value,
+                 "residual": r.residual} for r in report.rows]
+        rc, text = _cli_bytes(tmp_path, "moments", {"weight": wcfg}, fmt)
+        assert (rc, text) == (0, _table_bytes(
+            fmt, ["kind", "n", "target", "value", "residual"], rows))
+        if fmt == "csv":  # the label holds commas
+            assert text.splitlines()[1].startswith(f'"{weight.label()}",'.encode())
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 500])
+    def test_sample(self, tmp_path, fmt, n_samples):
+        spec = StateSpec(Factorial(), 20, 3.0)
+        cfg = {"sequence": {"variant": "factorial"}, "k": 20, "z": {"re": 3.0, "im": 0.0},
+               "n_samples": n_samples, "seed": 5}
+        run = sample_counts(excitation_distribution(spec), n_samples, 5)
+        want = (_csv_bytes(["n", "count"], [{"n": n, "count": int(c)}
+                                            for n, c in enumerate(run.counts)])
+                if fmt == "csv" else _json_bytes(run.to_json()))
+        rc, text = _cli_bytes(tmp_path, "sample", cfg, fmt)
+        assert (rc, text) == (0, want)
+        if fmt == "json":  # strict JSON: no NaN or Infinity
+            json.loads(text, parse_constant=pytest.fail)
+
+    def test_verify_out(self, tmp_path, monkeypatch, fmt):
+        suite, seen = cli.run_verification_suite, []
+
+        def recorded(tol):
+            seen.append(suite(tol))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "run_verification_suite", recorded)
+        out = tmp_path / "verify.out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--out", str(out), "--format", fmt]) == 0
+        (checks, ok), = seen
+        text = out.read_bytes()
+        assert text == _table_bytes(fmt, ["check", "residual", "tol", "passed"], checks)
+        if fmt == "csv":  # check names such as moments:ml(alpha=1.0,beta=1.0,k=inf)
+            assert text.count(b'\r\n"moments:') == 4
+
+
+_CELL_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters()), max_size=8)
+
+
+@given(st.lists(_CELL_TEXT, min_size=1, max_size=4), st.lists(_CELL_TEXT, min_size=1, max_size=4),
+       st.floats())
+@example([""], [""], 0.5)
+@example([",", '"'], ["\r", "\n"], math.nan)
+def test_text_cells_are_quoted_as_csv_writer_quotes(header, lead, x):
+    # a run's lead cells may hold text; header and lead are quoted as csv.writer quotes
+    header = (header * 5)[:len(lead) + 1]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerow([*lead, x])
+    got = io.StringIO()
+    with contextlib.redirect_stdout(got):
+        cli._write_rows(header, [(tuple(lead), [(x,)])], None, "csv")
+    assert got.getvalue() == buf.getvalue()
 
 
 class TestZeros:

@@ -158,11 +158,6 @@ class TestMomentCheck:
         assert rep.rows[0].value == pytest.approx(exact, rel=1e-12)
         assert rep.rows[1].value == pytest.approx(-exact, rel=1e-12)
 
-    def test_csv_rows_schema(self):
-        rep = moment_check(MLWeight(1.0, 1.0, INFINITE), 2, 1e-8)
-        rows = list(rep.to_csv_rows())
-        assert set(rows[0]) == {"kind", "n", "target", "value", "residual"}
-
 
 class TestRadialMoment:
     def test_uncancelled_route_matches_target_for_ml(self):

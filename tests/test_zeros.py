@@ -62,11 +62,6 @@ class TestPolynomialRoots:
         with pytest.raises(ValueError):
             polynomial_roots(Factorial(), 0)
 
-    def test_csv_rows_schema(self):
-        rows = list(polynomial_roots(Factorial(), 3).to_csv_rows())
-        assert len(rows) == 3
-        assert set(rows[0]) == {"re", "im", "residual"}
-
 
 class TestOrthogonalPair:
     def test_factorial_k2_hand_example(self):
