@@ -119,6 +119,11 @@ def _csv_cell(value: Any) -> str:
     return text
 
 
+def _json_cell(value: Any) -> Any:
+    """A cell as strict JSON holds it: None (null) for a non-finite float."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, newline="")
@@ -133,10 +138,11 @@ def _write_rows(fieldnames: Sequence[str], runs: Iterable[tuple[tuple, Iterable[
     The table comes in runs (lead, rows): every row of a run starts with the
     cells of `lead`, which may be text, and goes on with the cells of one
     tuple of `rows`, numbers only, at least one. A lead cell is formatted once
-    per run, every other cell once.
+    per run, every other cell once. JSON is strict: a non-finite float is null.
     """
     if fmt == "json":
-        records = [dict(zip(fieldnames, lead + row)) for lead, rows in runs for row in rows]
+        records = [dict(zip(fieldnames, map(_json_cell, lead + row)))
+                   for lead, rows in runs for row in rows]
         _write(json.dumps(records, indent=2) + "\n", out)
         return
     parts = [",".join(map(_csv_cell, fieldnames)), "\r\n"]
@@ -251,8 +257,7 @@ def cmd_moments(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     return 0
 
 
-def cmd_sample(cfg: dict[str, Any], out: str | None, fmt: str,
-               seed_override: int | None) -> int:
+def cmd_sample(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     seq = _sequence(cfg.get("sequence"))
     k = _k(cfg.get("k"))
     z = cfg.get("z", {"re": 1.0, "im": 0.0})
@@ -263,7 +268,7 @@ def cmd_sample(cfg: dict[str, Any], out: str | None, fmt: str,
     n_samples = _count(cfg.get("n_samples"), "n_samples")
     if n_samples < 1:
         raise ConfigError("sample requires a positive integer n_samples")
-    seed = seed_override if seed_override is not None else _count(cfg.get("seed", 0), "seed")
+    seed = _count(cfg.get("seed", 0), "seed")
     dist = excitation_distribution(_spec(seq, k, z))
     run = sampler.sample_counts(dist, n_samples, seed)
     if fmt == "json":
@@ -355,7 +360,8 @@ def cmd_verify(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
 
 
 _COMMANDS = {"probs": cmd_probs, "mandel": cmd_mandel, "corr": cmd_corr,
-             "verify": cmd_verify, "zeros": cmd_zeros, "moments": cmd_moments}
+             "verify": cmd_verify, "zeros": cmd_zeros, "moments": cmd_moments,
+             "sample": cmd_sample}
 
 
 @functools.cache
@@ -363,13 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tgcs",
                                      description="Truncated generalized coherent states toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ["probs", "mandel", "corr", "verify", "zeros", "moments", "sample"]:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "verify"),
                        help="path to a JSON run configuration")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", default="csv", choices=["csv", "json"])
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed override")
+        if name == "sample":
+            p.add_argument("--seed", type=int, default=None, help="PRNG seed override")
     return parser
 
 
@@ -378,8 +385,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config else {}
-        if args.command == "sample":
-            return cmd_sample(cfg, args.out, args.format, args.seed)
+        if getattr(args, "seed", None) is not None:
+            cfg["seed"] = args.seed
         return _COMMANDS[args.command](cfg, args.out, args.format)
     except (ConfigError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

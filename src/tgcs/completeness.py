@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -12,19 +11,6 @@ from . import specfun
 from .gseq import AuxFunction, Factorial, GSequence, MLGamma, WrightProduct
 from .specfun import KratzelParams
 from .states import INFINITE, _check_term_budget, _log_term_rows
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error: float
-
-
-def quadrature_improper(f: Callable[[float], float], tol: float = 1e-8) -> QuadratureResult:
-    """int_0^inf f(u) du by the trapezoid rule on t = ln u, f mapped over the nodes."""
-    return QuadratureResult(*specfun._trapezoid(
-        lambda t: np.fromiter((f(u) * u for u in np.exp(t).tolist()), float, t.size),
-        tol)[:, 0].tolist())
 
 
 def _window(c: float, p: float, s_left: float, s_right: float,
@@ -71,18 +57,14 @@ class WeightFunction:
             self.seq, self.k, flat, top)]).reshape(np.shape(t))[()]
 
     def eval(self, u):
-        """U(u) for u > 0, a float or an array."""
+        """U(u) for u > 0, a float or an array; ValueError if any u is not > 0."""
+        if not np.all(np.greater(u, 0.0)):  # NaN too
+            raise ValueError("weight functions are defined on u > 0")
         t = np.log(u)
         log_norm = self._log_normalization(t)
         # an exponential of t in F past the double range gives its value, F = 0
         with np.errstate(over="ignore"):
             return self._factor(t, log_norm) / math.pi
-
-    def normalization_series(self, u):
-        """The T(u) series dividing the state projector in the moment integral;
-        inf past the double range."""
-        with np.errstate(over="ignore"):
-            return np.exp(self._log_normalization(np.log(u)))
 
     def moment_target(self, n: int) -> float:
         """The g(n) value the n-th cancelled moment integral must reproduce."""
@@ -92,10 +74,6 @@ class WeightFunction:
         """[values, error estimates] of int F u^(n+1) dt, one trapezoid row per n."""
         return specfun._trapezoid(lambda t, n: self._factor(t, (n + 1.0) * t),
                                   tol, *_window(*self._tails, n), n)
-
-    def cancelled_moment(self, n: int, tol: float) -> QuadratureResult:
-        """pi * int [T]^-1 U(u) u^n du with the analytic cancellation applied."""
-        return QuadratureResult(*self._cancelled_moments(np.array([n]), tol)[:, 0].tolist())
 
     def label(self) -> str:
         k = "inf" if self.k == INFINITE else int(self.k)
@@ -201,19 +179,13 @@ class GeneralWeight(WeightFunction):
 _KRATZEL_TOL = 5e-10
 
 
-def weight_eval(w: WeightFunction, u: float) -> float:
-    if u <= 0:
-        raise ValueError("weight functions are defined on u > 0")
-    return float(w.eval(u))
-
-
 def _radial_moments(w: WeightFunction, n: np.ndarray, tol: float) -> np.ndarray:
     """pi * int_0^inf [T(u)]^-1 U(u) u^n du for each n, one trapezoid row per n: ln T
     once per node, T still divided out so that this cross-checks the cancelled route."""
 
     def f(t: np.ndarray, n: np.ndarray) -> np.ndarray:
         log_norm = w._log_normalization(t)
-        with np.errstate(over="ignore"):  # U over T, each as eval and normalization_series
+        with np.errstate(over="ignore"):  # U, as eval gives it, over T
             return w._factor(t, log_norm) / math.pi / np.exp(log_norm) * np.exp(t) ** (n + 1.0)
 
     return math.pi * specfun._trapezoid(f, tol, *_window(*w._tails, n), n)[0]

@@ -28,9 +28,6 @@ class GSequence:
     def g(self, n: int) -> float:
         return math.exp(self.log_g(n))
 
-    def __call__(self, n: int) -> float:
-        return self.g(n)
-
     def to_json(self) -> dict[str, Any]:
         raise NotImplementedError
 
@@ -174,14 +171,6 @@ class AuxFunction:
             raise ValueError("AuxFunction requires rho > 0 and w > 0")
         if self.nu <= -1:
             raise ValueError("AuxFunction requires nu > -1 for Mellin moments at s >= 1")
-
-    def __call__(self, u: float) -> float:
-        if u <= 0:
-            raise ValueError("AuxFunction is defined on u > 0")
-        if self.rho * math.log(u) > 700.0:
-            return 0.0
-        arg = self.nu * math.log(u) - self.w * u ** self.rho
-        return math.exp(arg) if arg > -700.0 else 0.0
 
     def on_log_axis(self, t: np.ndarray, s: float) -> np.ndarray:
         """f(u) u^s at u = exp(t): the Mellin integrand on t = ln u, Jacobian included."""

@@ -53,13 +53,6 @@ class KratzelParams:
             raise ValueError("mu must be positive")
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def _positive_series(log_term, name: str) -> float:
     """Kahan-summed positive series with the term-based stopping rule.
 
@@ -116,14 +109,8 @@ def wright(lam: float, mu: float, x: float) -> float:
         "wright")
 
 
-def truncated_series(g: "GSequence", k: int, z: complex) -> complex:
-    """sum_{n=0}^{k} z^n / g(n), evaluated as a degree-k polynomial."""
-    val, log_scale = truncated_series_scaled(g, k, z)
-    return val * math.exp(log_scale)
-
-
 def truncated_series_scaled(g: "GSequence", k: int, z: complex) -> tuple[complex, float]:
-    """Same sum as truncated_series, returned as (mantissa, log_scale).
+    """sum_{n=0}^{k} z^n / g(n), a degree-k polynomial, as (mantissa, log_scale).
 
     The value is mantissa * exp(log_scale).  Keeps overlaps of far-apart
     labels representable when the plain sum would overflow a double.

@@ -5,11 +5,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from .gseq import AsymptoticFamily, GSequence, asymptotic_leading_term
+from .gseq import (G1, AsymptoticFamily, GSequence, MLGamma, WrightProduct,
+                   asymptotic_leading_term)
 from .specfun import _log_sum_exp
 from .states import (INFINITE, ExcitationDistribution, StateSpec,
                      excitation_distribution)
@@ -39,10 +39,6 @@ class QReport:
     mean_n: float
     var_n: float
     regime: Regime
-
-    def to_json(self) -> dict[str, Any]:
-        return {"q": self.q, "mean_n": self.mean_n, "var_n": self.var_n,
-                "regime": self.regime.value}
 
 
 def _moments(probs: np.ndarray, falling: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -168,32 +164,10 @@ def correlation_g2(spec: StateSpec) -> float:
     return fact2 / (mean * mean)
 
 
-@dataclass(frozen=True)
-class MLAsymptotics:
-    alpha: float
-    beta: float
-
-
-@dataclass(frozen=True)
-class WrightAsymptotics:
-    lam: float
-    mu: float
-
-
-@dataclass(frozen=True)
-class G1Asymptotics:
-    nu: float
-    rho: float
-    w: float
-
-
-@dataclass(frozen=True)
-class GeneralAsymptotics:
-    family: AsymptoticFamily
-
-
-def p_asymptotic(kind, n: int, u: float, norm: float) -> float:
-    """Large-n approximation of the excitation probability p(n).
+def p_asymptotic(kind: MLGamma | WrightProduct | G1 | AsymptoticFamily, n: int,
+                 u: float, norm: float) -> float:
+    """Large-n approximation of the excitation probability p(n) of the state
+    family that kind generates: its sequence, or its weight's asymptotic family.
 
     norm is the (truncated or not) normalization-series value dividing the
     distribution; the ratio to the exact p(n) tends to 1 as n grows.
@@ -202,23 +176,23 @@ def p_asymptotic(kind, n: int, u: float, norm: float) -> float:
         raise ValueError("asymptotic form is meant for n >= 10")
     log_u = math.log(u)
     two_pi = 2.0 * math.pi
-    if isinstance(kind, MLAsymptotics):
+    if isinstance(kind, MLGamma):
         a, b = kind.alpha, kind.beta
         log_p = (n * log_u + a * n + (-a * n - b + 0.5) * math.log(a * n)
                  - 0.5 * math.log(two_pi) - math.log(norm))
-    elif isinstance(kind, WrightAsymptotics):
+    elif isinstance(kind, WrightProduct):
         lam, mu = kind.lam, kind.mu
         log_p = (n * log_u + (lam + 1.0) * n + (-lam * n - mu + 0.5) * math.log(lam)
                  + (-(lam + 1.0) * n - mu) * math.log(n)
                  - math.log(two_pi) - math.log(norm))
-    elif isinstance(kind, G1Asymptotics):
+    elif isinstance(kind, G1):
         nu, rho, w = kind.nu, kind.rho, kind.w
         e = (n + nu + 1.0) / rho
         x = n / rho
         log_p = (e * math.log(w) + n * log_u + x + (-e + 0.5) * math.log(x)
                  - 0.5 * math.log(two_pi) - math.log(norm))
-    elif isinstance(kind, GeneralAsymptotics):
-        lead = asymptotic_leading_term(kind.family, n)
+    elif isinstance(kind, AsymptoticFamily):
+        lead = asymptotic_leading_term(kind, n)
         log_p = n * log_u + math.log(lead) - math.log(norm)
     else:
         raise TypeError(f"unknown asymptotics kind: {kind!r}")

@@ -128,8 +128,15 @@ def _json_bytes(payload):
     return (json.dumps(payload, indent=2) + "\n").encode()
 
 
+def _strict(value):
+    """A cell as strict JSON holds it: a non-finite float is null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _table_bytes(fmt, fieldnames, rows):
-    return _csv_bytes(fieldnames, rows) if fmt == "csv" else _json_bytes(rows)
+    if fmt == "csv":
+        return _csv_bytes(fieldnames, rows)
+    return _json_bytes([{k: _strict(v) for k, v in row.items()} for row in rows])
 
 
 def _grid(grid):
@@ -364,6 +371,23 @@ class TestSample:
         rows = read_csv(out)
         assert sum(int(r["count"]) for r in rows) == 1000
 
+    def test_seed_is_a_sample_flag_only(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "sequence": {"variant": "factorial"}, "k": 5,
+            "z_grid": {"min": 0.0, "max": 1.0, "points": 2}})
+        with pytest.raises(SystemExit) as exc:
+            main(["probs", "--config", cfg, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        # the override is checked as the config's seed is, not handed to PCG64
+        cfg = write_config(tmp_path, "cfg.json", {
+            "sequence": {"variant": "factorial"}, "k": 5,
+            "z": {"re": 0.5, "im": 0.0}, "n_samples": 10})
+        assert main(["sample", "--config", cfg, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_missing_n_samples_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
             "sequence": {"variant": "factorial"}, "k": 5,
@@ -382,6 +406,21 @@ class TestVerifyAndErrors:
         cfg = write_config(tmp_path, "cfg.json", {"tol": 1e-16})
         assert main(["verify", "--config", cfg]) == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_json_is_strict(self, tmp_path):
+        # mandel without a sweep has no parameter, an unreached tol no residual:
+        # both are null, not NaN or Infinity
+        mandel = write_config(tmp_path, "mandel.json", {
+            "sequence": {"variant": "factorial"}, "k": 5,
+            "z_grid": {"min": 0.5, "max": 2.0, "points": 3}})
+        verify = write_config(tmp_path, "verify.json", {"tol": 1e-16})
+        out = tmp_path / "out.json"
+        for argv, rc, key in [(["mandel", "--config", mandel], 0, "param"),
+                              (["verify", "--config", verify], 1, "residual")]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--out", str(out), "--format", "json"]) == rc
+            records = json.loads(out.read_text(), parse_constant=pytest.fail)
+            assert None in [r[key] for r in records]
 
     def test_malformed_json_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

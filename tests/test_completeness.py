@@ -10,40 +10,44 @@ from hypothesis import strategies as st
 from scipy.special import erfc, i0e, k0e
 
 from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight,
-                               WrightWeight, moment_check, quadrature_improper,
-                               weight_eval, weight_radial_moment)
+                               WrightWeight, moment_check, weight_radial_moment)
 from tgcs.gseq import AuxFunction, G1
-from tgcs.specfun import QuadratureError
+from tgcs.specfun import QuadratureError, _trapezoid
 from tgcs.states import INFINITE, DivergenceError
 
 EPS = float(np.finfo(float).eps)
 
 
+def improper(f, tol=1e-8):
+    """int_0^inf f(u) du by specfun._trapezoid on t = ln u (Jacobian u)."""
+    return _trapezoid(lambda t: f(np.exp(t)) * np.exp(t), tol)[0, 0]
+
+
 class TestQuadratureImproper:
     def test_exponential(self):
-        res = quadrature_improper(lambda u: math.exp(-u))
-        assert res.value == pytest.approx(1.0, rel=1e-10)
+        assert improper(lambda u: np.exp(-u)) == pytest.approx(1.0, rel=1e-10)
 
     def test_integrable_power_singularity(self):
-        res = quadrature_improper(lambda u: math.exp(-u) / math.sqrt(u))
-        assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-9)
+        assert improper(lambda u: np.exp(-u) / np.sqrt(u)) == pytest.approx(
+            math.sqrt(math.pi), rel=1e-9)
 
     def test_gaussian(self):
-        res = quadrature_improper(lambda u: math.exp(-u * u))
-        assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-9)
+        # u^2 overflows past u = 1e154, where the integrand is 0 anyway
+        assert improper(lambda u: np.exp(-np.minimum(u, 1e154) ** 2)) == pytest.approx(
+            math.sqrt(math.pi) / 2.0, rel=1e-9)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_integrand_raises(self, bad):
         with pytest.raises(QuadratureError):
-            quadrature_improper(lambda u: bad if 1.0 < u < 2.0 else math.exp(-u))
+            improper(lambda u: np.where((1.0 < u) & (u < 2.0), bad, np.exp(-u)))
 
     def test_tolerance_below_rounding_raises(self):
         # the error estimate never falls below the rounding floor eps * |sum|
         with pytest.raises(QuadratureError) as exc:
-            quadrature_improper(lambda u: math.exp(-u), tol=1e-20)
+            improper(lambda u: np.exp(-u), tol=1e-20)
         assert exc.value.value == pytest.approx(1.0, rel=1e-13)
         with pytest.raises(QuadratureError):
-            MLWeight(1.0, 1.0).cancelled_moment(2, 1e-20)
+            moment_check(MLWeight(1.0, 1.0), 2, 1e-20)
 
 
 class TestWeightEval:
@@ -51,14 +55,14 @@ class TestWeightEval:
         # alpha = beta = 1 collapses to the flat canonical density 1/pi
         w = MLWeight(1.0, 1.0, INFINITE)
         for u in [0.1, 1.0, 10.0, 100.0]:
-            assert weight_eval(w, u) == pytest.approx(1.0 / math.pi, rel=1e-11)
+            assert w.eval(u) == pytest.approx(1.0 / math.pi, rel=1e-11)
 
     def test_canonical_truncated_odd_k_goes_negative(self):
         # k = 1 at u = 2: pi^-1 e^-2 (1 - 2) < 0; the known sign defect
         w = CanonicalTruncatedWeight(1)
-        assert weight_eval(w, 2.0) == pytest.approx(
+        assert w.eval(2.0) == pytest.approx(
             math.exp(-2.0) * (1.0 - 2.0) / math.pi, rel=1e-13)
-        assert weight_eval(w, 2.0) < 0
+        assert w.eval(2.0) < 0
 
     def test_ml_truncated_hand_value(self):
         # (1/(pi*alpha)) u^(beta/alpha - 1) e^{-u^(1/alpha)} * partial series
@@ -66,8 +70,8 @@ class TestWeightEval:
         u = 1.0
         series = sum(u ** n / math.gamma(0.5 * n + 0.5) for n in range(4))
         expected = (1.0 / (math.pi * 0.5)) * math.exp(-1.0) * series
-        assert weight_eval(w, u) == pytest.approx(expected, rel=1e-12)
-        assert weight_eval(w, u) > 0
+        assert w.eval(u) == pytest.approx(expected, rel=1e-12)
+        assert w.eval(u) > 0
 
     def test_positive_on_log_grid(self):
         weights = [MLWeight(1.0, 1.0, INFINITE), MLWeight(0.5, 0.5, 10),
@@ -76,7 +80,7 @@ class TestWeightEval:
                                  INFINITE)]
         for w in weights:
             for u in np.geomspace(1e-4, 1e2, 200):
-                assert weight_eval(w, u) >= 0.0
+                assert w.eval(u) >= 0.0
 
     # U is finite where F underflows and T overflows: log space, not a 0
     @given(st.floats(1e-3, 300.0))
@@ -85,29 +89,37 @@ class TestWeightEval:
         # E_{1/2,1/2}(u) = 1/sqrt(pi) + u e^(u^2) erfc(-u); ln F and ln T are each
         # of size u^2 and rounded to eps u^2 before they cancel
         exact = 2.0 / math.pi * (math.exp(-u * u) / math.sqrt(math.pi) + u * erfc(-u))
-        assert weight_eval(MLWeight(0.5, 0.5), u) == pytest.approx(
+        assert MLWeight(0.5, 0.5).eval(u) == pytest.approx(
             exact, rel=1e-12 + 4 * EPS * u * u)
 
     @pytest.mark.parametrize("u", np.geomspace(1e-3, 1e6, 19))
     def test_wright_unit_matches_bessel_product(self, u):
         # W_{1,1}(u) = I0(2 sqrt u), Z(u) = 2 K0(2 sqrt u)
         x = 2.0 * math.sqrt(u)
-        assert weight_eval(WrightWeight(1.0, 1.0), u) == pytest.approx(
+        assert WrightWeight(1.0, 1.0).eval(u) == pytest.approx(
             2.0 / math.pi * i0e(x) * k0e(x), rel=1e-12)
 
     def test_wright_half_at_large_u(self):
         # mpmath at 40 digits; Z(1e4) ~ e^-877 underflows on its own
-        assert weight_eval(WrightWeight(0.5, 0.5), 1e4) == pytest.approx(
+        assert WrightWeight(0.5, 0.5).eval(1e4) == pytest.approx(
             0.012409918059686, rel=1e-12)
 
     def test_series_past_term_budget_is_refused(self):
         # E_{1/2,1/2}(2000) needs about 8e6 terms
         with pytest.raises(DivergenceError):
-            weight_eval(MLWeight(0.5, 0.5), 2000.0)
+            MLWeight(0.5, 0.5).eval(2000.0)
 
     def test_rejects_nonpositive_u(self):
         with pytest.raises(ValueError):
-            weight_eval(MLWeight(1.0, 1.0), 0.0)
+            MLWeight(1.0, 1.0).eval(0.0)
+
+    @pytest.mark.parametrize("k", [3, INFINITE])
+    @pytest.mark.parametrize("u", [0.0, -1.0, math.nan, np.array([1.0, 0.0]),
+                                   np.array([2.0, math.nan])])
+    def test_refuses_u_not_positive_up_front(self, k, u):
+        # one ValueError before any log or sum, not a math domain error inside it
+        with pytest.raises(ValueError, match="u > 0"):
+            MLWeight(1.0, 1.0, k).eval(u)
 
 
 class TestMomentCheck:

@@ -157,8 +157,6 @@ class TestAuxFunction:
             AuxFunction(rho=0.0)
         with pytest.raises(ValueError):
             AuxFunction(nu=-1.0)
-        with pytest.raises(ValueError):
-            AuxFunction()(0.0)
 
 
 class TestMellinLink:

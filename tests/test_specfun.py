@@ -9,9 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tgcs.gseq import Factorial, MLGamma, WrightProduct
-from tgcs.specfun import (KratzelParams, _log_sum_exp, kratzel_kernel, log_gamma,
-                          mittag_leffler, truncated_series, truncated_series_scaled,
-                          wright)
+from tgcs.specfun import (KratzelParams, _log_sum_exp, kratzel_kernel, mittag_leffler,
+                          truncated_series_scaled, wright)
 from tgcs.states import _log_term_rows
 
 
@@ -39,18 +38,6 @@ def mpmath_kratzel(lam: float, mu: float, u: float) -> float:
         val = mpmath.quad(lambda t: mpmath.exp(a * t - u * mpmath.exp(-t)
                                                - mpmath.exp(t / lam)), points)
     return float(val) / lam
-
-
-class TestLogGamma:
-    def test_matches_math_lgamma(self):
-        for x in [0.1, 0.5, 1.0, 2.5, 10.0, 100.0]:
-            assert log_gamma(x) == math.lgamma(x)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.0)
 
 
 class TestMittagLeffler:
@@ -119,6 +106,12 @@ class TestWright:
             wright(1.0, 1.0, -1.0)
 
 
+def truncated_series(g, k, z):
+    """The value mantissa * exp(log_scale) of truncated_series_scaled."""
+    mant, log_scale = truncated_series_scaled(g, k, z)
+    return mant * math.exp(log_scale)
+
+
 class TestTruncatedSeries:
     def test_factorial_is_partial_exp(self):
         # sum_{n=0}^{k} z^n / n! at k=3, z=1: 1 + 1 + 1/2 + 1/6
@@ -145,7 +138,7 @@ class TestTruncatedSeries:
         for z in [0.0, 1.0, -2.0 + 1.0j]:
             mant, log_scale = truncated_series_scaled(seq, 8, z)
             assert mant * math.exp(log_scale) == pytest.approx(
-                truncated_series(seq, 8, z), rel=1e-13)
+                sum(z ** n / seq.g(n) for n in range(9)), rel=1e-13)
 
     def test_scaled_form_survives_huge_arguments(self):
         # plain double arithmetic would overflow at z = 1e200

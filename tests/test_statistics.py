@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tgcs.gseq import Factorial, G1, MLGamma, Table, WrightProduct
+from tgcs.gseq import (AsymptoticFamily, AsymptoticTerm, Factorial, G1, MLGamma, Table,
+                       WrightProduct, asymptotic_leading_term)
 from tgcs.specfun import mittag_leffler, wright
 from tgcs.states import (ExcitationDistribution, INFINITE, StateSpec,
                          excitation_distribution, random_state_spec)
-from tgcs.statistics import (G1Asymptotics, MLAsymptotics, Regime,
-                             SmallLabelSign, UndefinedAtOriginError,
-                             WrightAsymptotics, correlation_g2, mandel_q,
+from tgcs.statistics import (Regime, SmallLabelSign, UndefinedAtOriginError,
+                             correlation_g2, mandel_q,
                              mandel_q2_closed_form, mandel_q_closed_form,
                              number_moments, p_asymptotic, q2_zero_crossing,
                              q_large_label_approx, q_small_label_sign)
@@ -218,27 +218,77 @@ class TestProbabilityAsymptotics:
         u = 1.0
         norm = mittag_leffler(1.0, 1.0, u)
         exact = self._exact_p(MLGamma(1.0, 1.0), 40, u, norm)
-        approx = p_asymptotic(MLAsymptotics(1.0, 1.0), 40, u, norm)
+        approx = p_asymptotic(MLGamma(1.0, 1.0), 40, u, norm)
         assert approx / exact == pytest.approx(1.0, abs=0.02)
 
     def test_wright_ratio_near_one(self):
         u = 1.0
         norm = wright(1.0, 1.0, u)
         exact = self._exact_p(WrightProduct(1.0, 1.0), 30, u, norm)
-        approx = p_asymptotic(WrightAsymptotics(1.0, 1.0), 30, u, norm)
+        approx = p_asymptotic(WrightProduct(1.0, 1.0), 30, u, norm)
         assert approx / exact == pytest.approx(1.0, abs=0.03)
 
     def test_g1_reduces_to_ml_case(self):
         u, norm = 1.0, math.exp(1.0)
         for n in [15, 25, 40]:
-            a = p_asymptotic(G1Asymptotics(0.0, 1.0, 1.0), n, u, norm)
-            b = p_asymptotic(MLAsymptotics(1.0, 1.0), n, u, norm)
+            a = p_asymptotic(G1(0.0, 1.0, 1.0), n, u, norm)
+            b = p_asymptotic(MLGamma(1.0, 1.0), n, u, norm)
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_requires_large_n(self):
         with pytest.raises(ValueError):
-            p_asymptotic(MLAsymptotics(1.0, 1.0), 5, 1.0, 1.0)
+            p_asymptotic(MLGamma(1.0, 1.0), 5, 1.0, 1.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(TypeError):
             p_asymptotic("poisson", 20, 1.0, 1.0)
+
+
+def reference_p_asymptotic(kind, n, u, norm):
+    """The four large-n forms, one per kind, as written when each kind had its
+    own parameter record."""
+    log_u = math.log(u)
+    two_pi = 2.0 * math.pi
+    if isinstance(kind, MLGamma):
+        a, b = kind.alpha, kind.beta
+        log_p = (n * log_u + a * n + (-a * n - b + 0.5) * math.log(a * n)
+                 - 0.5 * math.log(two_pi) - math.log(norm))
+    elif isinstance(kind, WrightProduct):
+        lam, mu = kind.lam, kind.mu
+        log_p = (n * log_u + (lam + 1.0) * n + (-lam * n - mu + 0.5) * math.log(lam)
+                 + (-(lam + 1.0) * n - mu) * math.log(n)
+                 - math.log(two_pi) - math.log(norm))
+    elif isinstance(kind, G1):
+        nu, rho, w = kind.nu, kind.rho, kind.w
+        e = (n + nu + 1.0) / rho
+        x = n / rho
+        log_p = (e * math.log(w) + n * log_u + x + (-e + 0.5) * math.log(x)
+                 - 0.5 * math.log(two_pi) - math.log(norm))
+    else:
+        lead = asymptotic_leading_term(kind, n)
+        log_p = n * log_u + math.log(lead) - math.log(norm)
+    return math.exp(log_p)
+
+
+_POS = st.floats(0.1, 5.0)
+_KINDS = st.one_of(
+    st.builds(MLGamma, _POS, _POS), st.builds(WrightProduct, _POS, _POS),
+    st.builds(G1, st.floats(0.0, 3.0), _POS, _POS),
+    st.builds(lambda c, nu, w, rho, l: AsymptoticFamily((AsymptoticTerm(c, nu, w, rho, l),)),
+              _POS, st.floats(-2.0, 2.0), _POS, _POS, st.integers(0, 2)))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (OverflowError, ValueError) as exc:  # exp past the double range, ln ln x <= 0
+        return type(exc)
+
+
+@given(_KINDS, st.integers(10, 400), st.floats(1e-3, 1e3), st.floats(1.0, 1e300))
+@settings(max_examples=300, deadline=None)
+def test_p_asymptotic_takes_the_sequence_itself(kind, n, u, norm):
+    # the sequence (or the weight's asymptotic family) is the parameter record:
+    # the same values, bit for bit
+    assert _outcome(p_asymptotic, kind, n, u, norm) == _outcome(
+        reference_p_asymptotic, kind, n, u, norm)
