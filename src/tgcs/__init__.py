@@ -3,7 +3,7 @@
 from .gseq import (AsymptoticFamily, AsymptoticTerm, AuxFunction, Factorial, G1,
                    GSequence, MLGamma, Table, WrightProduct,
                    asymptotic_leading_term, mellin_transform, verify_mellin_link)
-from .specfun import KratzelParams, kratzel_kernel, mittag_leffler, wright
+from .specfun import kratzel_kernel, mittag_leffler, wright
 from .states import (INFINITE, ExcitationDistribution, FockVector, StateSpec,
                      amplitudes, bargmann_inner_product, bargmann_poly,
                      excitation_distribution, normalization, overlap)

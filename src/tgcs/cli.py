@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -178,7 +179,7 @@ def cmd_mandel(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     base = cfg.get("sequence")
     sweep = cfg.get("param_sweep")
     if sweep:
-        names = [name for name in _sequence(base).to_json() if name != "variant"]
+        names = [f.name for f in fields(_sequence(base))]
         if not isinstance(sweep, dict) or sweep.get("name") not in names:
             raise ConfigError(f"param_sweep must name one of {names}, got {sweep!r}")
         params = [(float(p), {**base, sweep["name"]: float(p)})
@@ -222,7 +223,7 @@ _WEIGHT_BUILDERS = {
     "ml": lambda w, k: completeness.MLWeight(alpha=w["alpha"], beta=w["beta"], k=k),
     "wright": lambda w, k: completeness.WrightWeight(lam=w["lam"], mu=w["mu"], k=k),
     "general": lambda w, k: _general_weight(
-        AuxFunction(nu=w.get("nu", 0.0), rho=w.get("rho", 1.0), w=w.get("w", 1.0)), k),
+        AuxFunction(**{f.name: w[f.name] for f in fields(AuxFunction) if f.name in w}), k),
 }
 
 
@@ -315,10 +316,10 @@ def run_verification_suite(tol_override: float | None = None) -> tuple[list[dict
     # polynomial roots and orthogonal pairs
     for seq in [Factorial(), MLGamma(0.5, 0.5), WrightProduct(0.5, 0.5)]:
         rs = zeros.polynomial_roots(seq, 10)
-        record(f"roots:{seq.to_json()['variant']}", float(np.max(rs.residuals)),
+        record(f"roots:{seq.variant}", float(np.max(rs.residuals)),
                tol(1e-9))
         a, b = zeros.orthogonal_pair(seq, 10, rs.roots[0], 1.0 + 0.0j)
-        record(f"orthogonality:{seq.to_json()['variant']}",
+        record(f"orthogonality:{seq.variant}",
                abs(overlap(a, b)), tol(1e-10))
 
     # Q: moment route vs closed forms

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import specfun
 from .gseq import AuxFunction, Factorial, GSequence, MLGamma, WrightProduct
-from .specfun import KratzelParams
 from .states import INFINITE, _check_term_budget, _log_term_rows
 
 
@@ -151,7 +150,7 @@ class WrightWeight(WeightFunction):
                 min(1.0, mu / lam), 1.0 + max(mu - lam, 0.0) / (1.0 + lam))
 
     def _log_factor(self, t: np.ndarray) -> np.ndarray:
-        return specfun._kratzel(KratzelParams(self.lam, self.mu), t, _KRATZEL_TOL)
+        return specfun._kratzel(self.lam, self.mu, t, _KRATZEL_TOL)
 
 
 @dataclass(frozen=True)
@@ -191,9 +190,9 @@ def _radial_moments(w: WeightFunction, n: np.ndarray, tol: float) -> np.ndarray:
     return math.pi * specfun._trapezoid(f, tol, *_window(*w._tails, n), n)[0]
 
 
-def weight_radial_moment(w: WeightFunction, n: int, tol: float = 1e-8) -> float:
+def weight_radial_moment(w: WeightFunction, n: int) -> float:
     """pi * int_0^inf [T(u)]^-1 U(u) u^n du, evaluated without cancellation."""
-    return float(_radial_moments(w, np.array([n]), tol)[0])
+    return float(_radial_moments(w, np.array([n]), specfun.QUAD_TOL)[0])
 
 
 @dataclass(frozen=True)

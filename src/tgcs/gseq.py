@@ -3,24 +3,32 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, fields
+from typing import Any, ClassVar
 
 import numpy as np
 
-from .specfun import _trapezoid
+from .specfun import QUAD_TOL, _trapezoid
 
 
 class GSequence:
     """Positive arithmetic function g(n) generating a coherent-state family.
 
-    Subclasses implement log_g_array; g itself is exp(log_g) so that values
-    stay representable well past the overflow point of the direct product forms.
+    Subclasses are frozen dataclasses whose fields are the parameters (and JSON keys)
+    and implement _log_g; ln g stays representable far past where g overflows.
     """
+
+    variant: ClassVar[str]
+
+    def _log_g(self, n: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def log_g_array(self, n: np.ndarray) -> np.ndarray:
         """ln g(n) for a 1-D array of indices n >= 0."""
-        raise NotImplementedError
+        # a negative index would otherwise wrap silently in Table lookups
+        if n.size and n.min() < 0:
+            raise ValueError(f"sequence index must be >= 0, got {n.min()}")
+        return self._log_g(n)
 
     def log_g(self, n: int) -> float:
         return float(self.log_g_array(np.array([n]))[0])
@@ -29,28 +37,16 @@ class GSequence:
         return math.exp(self.log_g(n))
 
     def to_json(self) -> dict[str, Any]:
-        raise NotImplementedError
+        return {"variant": self.variant, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "GSequence":
+        # AttributeError: obj is no dict; KeyError: a parameter is missing
         variant = obj.get("variant")
-        if variant == "factorial":
-            return Factorial()
-        if variant == "ml_gamma":
-            return MLGamma(obj["alpha"], obj["beta"])
-        if variant == "wright_product":
-            return WrightProduct(obj["lam"], obj["mu"])
-        if variant == "g1":
-            return G1(obj["nu"], obj["rho"], obj["w"])
-        if variant == "table":
-            return Table(tuple(obj["values"]))
-        raise ValueError(f"unknown GSequence variant: {variant!r}")
-
-
-def _check_n(n: np.ndarray) -> None:
-    # a negative index would otherwise wrap silently in Table lookups
-    if n.size and n.min() < 0:
-        raise ValueError(f"sequence index must be >= 0, got {n.min()}")
+        cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
+        if cls is None:
+            raise ValueError(f"unknown GSequence variant: {variant!r}")
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
 def _map(f, x: np.ndarray) -> np.ndarray:
@@ -63,12 +59,10 @@ def _map(f, x: np.ndarray) -> np.ndarray:
 class Factorial(GSequence):
     """g(n) = n!  (the canonical coherent-state sequence)."""
 
-    def log_g_array(self, n: np.ndarray) -> np.ndarray:
-        _check_n(n)
-        return _map(math.lgamma, n + 1)
+    variant = "factorial"
 
-    def to_json(self) -> dict[str, Any]:
-        return {"variant": "factorial"}
+    def _log_g(self, n: np.ndarray) -> np.ndarray:
+        return _map(math.lgamma, n + 1)
 
 
 @dataclass(frozen=True)
@@ -77,17 +71,14 @@ class MLGamma(GSequence):
 
     alpha: float
     beta: float
+    variant = "ml_gamma"
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise ValueError("MLGamma requires alpha > 0 and beta > 0")
 
-    def log_g_array(self, n: np.ndarray) -> np.ndarray:
-        _check_n(n)
+    def _log_g(self, n: np.ndarray) -> np.ndarray:
         return _map(math.lgamma, self.alpha * n + self.beta)
-
-    def to_json(self) -> dict[str, Any]:
-        return {"variant": "ml_gamma", "alpha": self.alpha, "beta": self.beta}
 
 
 @dataclass(frozen=True)
@@ -96,17 +87,14 @@ class WrightProduct(GSequence):
 
     lam: float
     mu: float
+    variant = "wright_product"
 
     def __post_init__(self):
-        if self.lam <= 0 or self.mu <= 0:
+        if not (0 < self.lam < math.inf and 0 < self.mu < math.inf):
             raise ValueError("WrightProduct requires lam > 0 and mu > 0")
 
-    def log_g_array(self, n: np.ndarray) -> np.ndarray:
-        _check_n(n)
+    def _log_g(self, n: np.ndarray) -> np.ndarray:
         return _map(math.lgamma, n + 1) + _map(math.lgamma, self.lam * n + self.mu)
-
-    def to_json(self) -> dict[str, Any]:
-        return {"variant": "wright_product", "lam": self.lam, "mu": self.mu}
 
 
 @dataclass(frozen=True)
@@ -119,20 +107,17 @@ class G1(GSequence):
     nu: float
     rho: float
     w: float
+    variant = "g1"
 
     def __post_init__(self):
-        if self.nu < 0:
+        if not 0 <= self.nu < math.inf:
             raise ValueError("G1 requires nu >= 0")
-        if self.rho <= 0 or self.w <= 0:
+        if not (0 < self.rho < math.inf and 0 < self.w < math.inf):
             raise ValueError("G1 requires rho > 0 and w > 0")
 
-    def log_g_array(self, n: np.ndarray) -> np.ndarray:
-        _check_n(n)
+    def _log_g(self, n: np.ndarray) -> np.ndarray:
         s = (n + self.nu + 1.0) / self.rho
         return -math.log(self.rho) - s * math.log(self.w) + _map(math.lgamma, s)
-
-    def to_json(self) -> dict[str, Any]:
-        return {"variant": "g1", "nu": self.nu, "rho": self.rho, "w": self.w}
 
 
 @dataclass(frozen=True)
@@ -140,22 +125,25 @@ class Table(GSequence):
     """Finite tabulated sequence, for experimenting with the sign conditions."""
 
     values: tuple[float, ...]
+    variant = "table"
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) == 0:
             raise ValueError("Table requires at least one value")
-        if any(v <= 0 for v in self.values):
+        if not all(0 < v < math.inf for v in self.values):
             raise ValueError("Table values must all be positive")
 
-    def log_g_array(self, n: np.ndarray) -> np.ndarray:
-        _check_n(n)
+    def _log_g(self, n: np.ndarray) -> np.ndarray:
         if n.size and n.max() >= len(self.values):
             raise IndexError(
                 f"Table index {n.max()} out of range (length {len(self.values)})")
         return _map(math.log, np.asarray(self.values)[n])
 
-    def to_json(self) -> dict[str, Any]:
-        return {"variant": "table", "values": list(self.values)}
+
+# the JSON name of each sequence class
+_VARIANTS: dict[str, type[GSequence]] = {
+    cls.variant: cls for cls in (Factorial, MLGamma, WrightProduct, G1, Table)}
 
 
 @dataclass(frozen=True)
@@ -167,9 +155,9 @@ class AuxFunction:
     w: float = 1.0
 
     def __post_init__(self):
-        if self.rho <= 0 or self.w <= 0:
+        if not (0 < self.rho < math.inf and 0 < self.w < math.inf):
             raise ValueError("AuxFunction requires rho > 0 and w > 0")
-        if self.nu <= -1:
+        if not -1 < self.nu < math.inf:
             raise ValueError("AuxFunction requires nu > -1 for Mellin moments at s >= 1")
 
     def on_log_axis(self, t: np.ndarray, s: float) -> np.ndarray:
@@ -186,11 +174,11 @@ class AuxFunction:
         return G1(nu=self.nu, rho=self.rho, w=self.w)
 
 
-def mellin_transform(f: AuxFunction, s: float, rel_tol: float = 1e-8) -> float:
+def mellin_transform(f: AuxFunction, s: float) -> float:
     """int_0^inf f(u) u^(s-1) du by the trapezoid rule on the log axis."""
     if s < 1:
         raise ValueError("mellin_transform requires s >= 1")
-    return float(_trapezoid(f.on_log_axis, rel_tol, -700.0, 700.0, s)[0, 0])
+    return float(_trapezoid(f.on_log_axis, QUAD_TOL, -700.0, 700.0, s)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -206,11 +194,9 @@ class MellinLinkReport:
 
 def verify_mellin_link(f: AuxFunction, seq: GSequence, n_max: int,
                        tol: float) -> MellinLinkReport:
-    """Relative residuals |f^(n+1) - g(n)| / g(n) for n = 0..n_max.
-
-    One trapezoid row per n, each at mellin_transform's default tolerance.
-    """
-    fhat = _trapezoid(f.on_log_axis, 1e-8, -700.0, 700.0, np.arange(n_max + 1) + 1.0)[0]
+    """Relative residuals |f^(n+1) - g(n)| / g(n) for n = 0..n_max, one trapezoid
+    row per n at mellin_transform's tolerance."""
+    fhat = _trapezoid(f.on_log_axis, QUAD_TOL, -700.0, 700.0, np.arange(n_max + 1) + 1.0)[0]
     g = [seq.g(n) for n in range(n_max + 1)]
     residuals = tuple(abs(v - gn) / gn for v, gn in zip(fhat.tolist(), g))
     return MellinLinkReport(residuals, tol, max(residuals) <= tol)

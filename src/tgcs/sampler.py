@@ -7,7 +7,7 @@ PRNG contract: numpy PCG64 seeded with the 64-bit run seed; identical
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -25,10 +25,7 @@ class SampleRun:
     stderr_q: float | None
 
     def to_json(self) -> dict[str, Any]:
-        return {"seed": self.seed, "n_samples": self.n_samples,
-                "counts": [int(c) for c in self.counts],
-                "q_hat": self.q_hat, "g2_hat": self.g2_hat,
-                "stderr_q": self.stderr_q}
+        return {**asdict(self), "counts": self.counts.tolist()}
 
 
 def _q_from_sums(s1, s2, n: float):

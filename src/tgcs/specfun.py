@@ -7,13 +7,12 @@ series, which is a plain degree-k polynomial and accepts complex input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .gseq import GSequence
+    from .gseq import GSequence, WrightProduct
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -39,18 +38,7 @@ class QuadratureError(RuntimeError):
 SERIES_ABS_TOL = 1e-14
 SERIES_REL_TOL = 1e-14
 SERIES_MAX_TERMS = 10_000
-
-
-@dataclass(frozen=True)
-class KratzelParams:
-    lam: float
-    mu: float
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
+QUAD_TOL = 1e-8  # of the Mellin, Kraetzel, radial-moment and Bargmann quadratures
 
 
 def _positive_series(log_term, name: str) -> float:
@@ -231,7 +219,7 @@ def _trapezoid(f, tol: float, lo=-700.0, hi=700.0, *params) -> np.ndarray:
 _KRATZEL_FLOOR = -1e9
 
 
-def _kratzel(p: KratzelParams, log_u, rel_tol: float) -> np.ndarray:
+def _kratzel(lam: float, mu: float, log_u, tol: float) -> np.ndarray:
     """ln of kratzel_kernel at u = exp(log_u), one trapezoid row per entry; -inf
     for rows whose exponent lies below _KRATZEL_FLOOR.
 
@@ -243,7 +231,7 @@ def _kratzel(p: KratzelParams, log_u, rel_tol: float) -> np.ndarray:
     - B expm1(d/lam) rounds like sqrt(A + B), not like A + B.  The window ends
     where its quadratic or its exponential upper bound falls to -50.
     """
-    lam, a = p.lam, p.mu / p.lam - 1.0
+    a = mu / lam - 1.0
     shape, log_u = np.shape(log_u), np.ravel(log_u).astype(float)
     t_bal = lam * (log_u + math.log(lam)) / (1.0 + lam)
     t_a = (np.full_like(log_u, lam * math.log(a * lam)) if a > 0
@@ -268,13 +256,13 @@ def _kratzel(p: KratzelParams, log_u, rel_tol: float) -> np.ndarray:
     integral = _trapezoid(
         lambda t, peak, A, B: np.exp(a * (t - peak) - A * np.expm1(peak - t)
                                      - B * np.expm1((t - peak) / lam)),
-        rel_tol, lo, hi, peak, A, B)[0]
+        tol, lo, hi, peak, A, B)[0]
     out[rows] = shift + np.log(integral) - math.log(lam)
     return out.reshape(shape)
 
 
-def kratzel_kernel(p: KratzelParams, u: float, rel_tol: float = 1e-8) -> float:
-    """Kraetzel kernel lam^-1 * int_0^inf v^(mu/lam - 2) exp(-u/v - v^(1/lam)) dv.
+def kratzel_kernel(seq: "WrightProduct", u: float) -> float:
+    """Kraetzel kernel of seq, lam^-1 int_0^inf v^(mu/lam - 2) exp(-u/v - v^(1/lam)) dv.
 
     Equals the H^{2,0}_{0,2} Fox-H special case whose Mellin transform is
     Gamma(s) Gamma(lam*s + mu - lam).  Evaluated on the v = exp(t) axis where
@@ -283,4 +271,4 @@ def kratzel_kernel(p: KratzelParams, u: float, rel_tol: float = 1e-8) -> float:
     """
     if u <= 0:
         raise ValueError("kratzel_kernel requires u > 0")
-    return math.exp(_kratzel(p, math.log(u), rel_tol))
+    return math.exp(_kratzel(seq.lam, seq.mu, math.log(u), QUAD_TOL))

@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .gseq import Factorial, GSequence, Table
-from .specfun import SERIES_ABS_TOL, truncated_series_scaled
+from .specfun import QUAD_TOL, SERIES_ABS_TOL, truncated_series_scaled
 
 INFINITE = math.inf
 # one term budget for the infinite-k convergence probe and summation
@@ -67,18 +67,6 @@ class StateSpec:
         log_norm = m + math.log(total)
         # the sum itself can exceed the double range (e.g. exp(u^rho) growth)
         return probs, math.exp(m) * total if log_norm < 709.0 else math.inf, log_norm
-
-    def to_json(self) -> dict[str, Any]:
-        return {"seq": self.seq.to_json(),
-                "k": "inf" if self.k == INFINITE else int(self.k),
-                "z": {"re": self.z.real, "im": self.z.imag}}
-
-    @staticmethod
-    def from_json(obj: dict[str, Any]) -> "StateSpec":
-        k = obj["k"]
-        return StateSpec(seq=GSequence.from_json(obj["seq"]),
-                         k=INFINITE if k == "inf" else int(k),
-                         z=complex(obj["z"]["re"], obj["z"]["im"]))
 
 
 @dataclass(frozen=True)
@@ -243,7 +231,7 @@ def bargmann_poly(phi: FockVector, seq: GSequence, k: int, zbar: complex) -> com
 
 
 def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
-                           k: int, weight, tol: float = 1e-8) -> complex:
+                           k: int, weight) -> complex:
     """<psi||phi> via the completeness measure, angular integral done analytically.
 
     Only equal powers of z survive the angular integration, which reduces the
@@ -258,7 +246,7 @@ def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
     n = np.flatnonzero(c)
     if n.size == 0:
         return 0j
-    return complex(np.sum(c[n] * _radial_moments(weight, n, tol) * np.exp(-seq.log_g_array(n))))
+    return complex(np.sum(c[n] * _radial_moments(weight, n, QUAD_TOL) * np.exp(-seq.log_g_array(n))))
 
 
 def random_state_spec(rng: np.random.Generator, k_max: int = 20,

@@ -189,7 +189,7 @@ def p_asymptotic(kind: MLGamma | WrightProduct | G1 | AsymptoticFamily, n: int,
         nu, rho, w = kind.nu, kind.rho, kind.w
         e = (n + nu + 1.0) / rho
         x = n / rho
-        log_p = (e * math.log(w) + n * log_u + x + (-e + 0.5) * math.log(x)
+        log_p = (math.log(rho) + e * math.log(w) + n * log_u + x + (-e + 0.5) * math.log(x)
                  - 0.5 * math.log(two_pi) - math.log(norm))
     elif isinstance(kind, AsymptoticFamily):
         lead = asymptotic_leading_term(kind, n)

@@ -485,6 +485,15 @@ class TestVerifyAndErrors:
         assert main([command, "--config", path]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sequence_parameter_is_refused(self, tmp_path, capsys, alpha):
+        # json.load reads NaN and Infinity; the sequence refuses them, not the sums
+        path = write_config(tmp_path, "cfg.json", {
+            "sequence": {**ML_HALF, "alpha": alpha}, "k": 4,
+            "z_grid": {"min": 0.0, "max": 1.0, "points": 2}})
+        assert main(["probs", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 def test_import_loads_no_scipy():
     # scipy is a test-only oracle; the package itself must not load it

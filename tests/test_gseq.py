@@ -1,6 +1,8 @@
 """Generating sequences, the Mellin link, and the asymptotic-scale bookkeeping."""
 
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tgcs.gseq import (AsymptoticFamily, AsymptoticTerm, AuxFunction, Factorial,
-                       G1, GSequence, MLGamma, Table, WrightProduct,
+                       G1, GSequence, MLGamma, Table, WrightProduct, _VARIANTS,
                        asymptotic_leading_term, mellin_transform,
                        verify_mellin_link)
 from tgcs.states import random_state_spec
@@ -84,6 +86,22 @@ class TestSequenceValues:
         with pytest.raises(ValueError):
             Factorial().g(-1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, field", [
+        (MLGamma, "alpha"), (MLGamma, "beta"), (WrightProduct, "lam"),
+        (WrightProduct, "mu"), (G1, "nu"), (G1, "rho"), (G1, "w"),
+        (Table, "values"), (AuxFunction, "nu"), (AuxFunction, "rho"), (AuxFunction, "w"),
+    ])
+    def test_non_finite_parameters_rejected(self, make, field, bad):
+        # NaN fails every comparison, so x <= 0 alone would let it through
+        params = {"alpha": 1.0, "beta": 1.0, "lam": 1.0, "mu": 1.0, "nu": 0.5,
+                  "rho": 1.0, "w": 1.0, "values": (1.0, bad, 2.0)}
+        params = {f.name: params[f.name] for f in fields(make)}
+        if field != "values":
+            params[field] = bad
+        with pytest.raises(ValueError):
+            make(**params)
+
 
 class TestLogGArray:
     @given(sequences, st.integers(1, 400))
@@ -119,11 +137,36 @@ class TestJsonRoundTrip:
         Table((1.0, 3.0, 10.0)),
     ])
     def test_round_trip(self, seq):
-        assert GSequence.from_json(seq.to_json()) == seq
+        assert GSequence.from_json(json.loads(json.dumps(seq.to_json()))) == seq
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             GSequence.from_json({"variant": "mystery"})
+        with pytest.raises(ValueError):
+            GSequence.from_json({"variant": ["g1"]})
+
+    def test_every_sequence_class_has_a_variant(self):
+        assert {cls.variant: cls for cls in GSequence.__subclasses__()} == _VARIANTS
+
+    def test_json_text(self):
+        assert [json.dumps(s.to_json()) for s in (Factorial(), G1(1.0, 2.0, 0.7),
+                                                   Table((1.0, 3.0)))] == [
+            '{"variant": "factorial"}', '{"variant": "g1", "nu": 1.0, "rho": 2.0, "w": 0.7}',
+            '{"variant": "table", "values": [1.0, 3.0]}']
+
+    def test_from_json_contract(self):
+        # extra keys are ignored; a missing key, a non-object: typed errors
+        assert GSequence.from_json(
+            {"variant": "ml_gamma", "alpha": 0.5, "beta": 1.0, "k": 3}) == MLGamma(0.5, 1.0)
+        with pytest.raises(KeyError):
+            GSequence.from_json({"variant": "ml_gamma", "alpha": 0.5})
+        for obj in ([1.0], "g1", None):
+            with pytest.raises(AttributeError):
+                GSequence.from_json(obj)
+
+    def test_table_values_become_a_tuple(self):
+        table = GSequence.from_json({"variant": "table", "values": [1.0, 2.0]})
+        assert table.values == (1.0, 2.0) and hash(table) == hash(Table((1.0, 2.0)))
 
 
 class TestAuxFunction:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tgcs.gseq import Factorial, MLGamma, WrightProduct
-from tgcs.specfun import (KratzelParams, _log_sum_exp, kratzel_kernel, mittag_leffler,
+from tgcs.specfun import (_log_sum_exp, kratzel_kernel, mittag_leffler,
                           truncated_series_scaled, wright)
 from tgcs.states import _log_term_rows
 
@@ -173,14 +173,14 @@ class TestKratzelKernel:
         from scipy.special import kv
         for u in [0.1, 0.5, 1.0, 4.0, 10.0]:
             ref = 2.0 * float(kv(0, 2.0 * math.sqrt(u)))
-            assert kratzel_kernel(KratzelParams(1.0, 1.0), u) == pytest.approx(
+            assert kratzel_kernel(WrightProduct(1.0, 1.0), u) == pytest.approx(
                 ref, rel=1e-8)
 
     def test_mellin_moments(self):
         # int_0^inf Z(u) u^(s-1) du = Gamma(s) Gamma(lam*s + mu - lam)
         from scipy import integrate
         for lam, mu in [(1.0, 1.0), (0.5, 0.5), (2.0, 1.0)]:
-            p = KratzelParams(lam, mu)
+            p = WrightProduct(lam, mu)
             for s in [1.0, 2.0, 3.0]:
                 target = math.gamma(s) * math.gamma(lam * s + mu - lam)
                 val, _ = integrate.quad(
@@ -191,17 +191,17 @@ class TestKratzelKernel:
     @pytest.mark.parametrize("lam, mu", [(0.5, 0.5), (2.0, 1.0)])
     def test_matches_mpmath_quad(self, lam, mu):
         for u in np.geomspace(1e-4, 1e3, 8):
-            assert kratzel_kernel(KratzelParams(lam, mu), u) == pytest.approx(
+            assert kratzel_kernel(WrightProduct(lam, mu), u) == pytest.approx(
                 mpmath_kratzel(lam, mu, u), rel=1e-12)
 
     def test_positive_on_wide_grid(self):
-        p = KratzelParams(0.5, 1.5)
+        p = WrightProduct(0.5, 1.5)
         for u in np.geomspace(1e-6, 1e3, 30):
             assert kratzel_kernel(p, u) >= 0.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            kratzel_kernel(KratzelParams(1.0, 1.0), 0.0)
+            kratzel_kernel(WrightProduct(1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
-            KratzelParams(-1.0, 1.0)
+            WrightProduct(-1.0, 1.0)
 

@@ -235,6 +235,13 @@ class TestProbabilityAsymptotics:
             b = p_asymptotic(MLGamma(1.0, 1.0), n, u, norm)
             assert a == pytest.approx(b, rel=1e-10)
 
+    @pytest.mark.parametrize("seq", [G1(0.0, 2.0, 1.0), G1(1.0, 1.5, 0.7)])
+    def test_g1_ratio_near_one_off_rho_one(self, seq):
+        # g1(n) carries 1/rho, so p(n) carries rho: without it the ratio tends to 1/rho
+        dist = excitation_distribution(StateSpec(seq, 400, math.sqrt(2.0)))
+        approx = p_asymptotic(seq, 160, 2.0, dist.norm)
+        assert approx / dist.probs[160] == pytest.approx(1.0, abs=0.01)
+
     def test_requires_large_n(self):
         with pytest.raises(ValueError):
             p_asymptotic(MLGamma(1.0, 1.0), 5, 1.0, 1.0)
@@ -246,7 +253,7 @@ class TestProbabilityAsymptotics:
 
 def reference_p_asymptotic(kind, n, u, norm):
     """The four large-n forms, one per kind, as written when each kind had its
-    own parameter record."""
+    own parameter record (G1's with the ln rho of its 1/rho prefactor)."""
     log_u = math.log(u)
     two_pi = 2.0 * math.pi
     if isinstance(kind, MLGamma):
@@ -262,7 +269,7 @@ def reference_p_asymptotic(kind, n, u, norm):
         nu, rho, w = kind.nu, kind.rho, kind.w
         e = (n + nu + 1.0) / rho
         x = n / rho
-        log_p = (e * math.log(w) + n * log_u + x + (-e + 0.5) * math.log(x)
+        log_p = (math.log(rho) + e * math.log(w) + n * log_u + x + (-e + 0.5) * math.log(x)
                  - 0.5 * math.log(two_pi) - math.log(norm))
     else:
         lead = asymptotic_leading_term(kind, n)
