@@ -1,8 +1,8 @@
 """Truncated generalized coherent states: special functions, statistics, completeness."""
 
 from .gseq import (AsymptoticFamily, AsymptoticTerm, AuxFunction, Factorial, G1,
-                   GSequence, MLGamma, Table, WrightProduct,
-                   asymptotic_leading_term, mellin_transform, verify_mellin_link)
+                   GSequence, MLGamma, MomentReport, Table, WrightProduct,
+                   mellin_transform, verify_mellin_link)
 from .specfun import kratzel_kernel, mittag_leffler, wright
 from .states import (INFINITE, ExcitationDistribution, FockVector, StateSpec,
                      amplitudes, bargmann_inner_product, bargmann_poly,
@@ -12,7 +12,7 @@ from .statistics import (QReport, Regime, SmallLabelSign, correlation_g2, mandel
                          p_asymptotic, q2_zero_crossing, q_large_label_approx,
                          q_small_label_sign)
 from .completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight,
-                           MomentReport, WeightFunction, WrightWeight, moment_check)
+                           WeightFunction, WrightWeight, moment_check)
 from .zeros import RootSet, orthogonal_pair, polynomial_roots
 from .sampler import SampleRun, sample_counts
 

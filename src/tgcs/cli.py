@@ -219,7 +219,7 @@ def cmd_zeros(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
 
 
 _WEIGHT_BUILDERS = {
-    "canonical_truncated": lambda w, k: completeness.CanonicalTruncatedWeight(k=int(k)),
+    "canonical_truncated": lambda w, k: completeness.CanonicalTruncatedWeight(k=k),
     "ml": lambda w, k: completeness.MLWeight(alpha=w["alpha"], beta=w["beta"], k=k),
     "wright": lambda w, k: completeness.WrightWeight(lam=w["lam"], mu=w["mu"], k=k),
     "general": lambda w, k: _general_weight(
@@ -330,7 +330,7 @@ def run_verification_suite(tol_override: float | None = None) -> tuple[list[dict
         if spec.z == 0 or spec.k < 1:
             continue
         q_m = statistics.mandel_q(spec).q
-        q_c = statistics.mandel_q_closed_form(spec.seq, int(spec.k), spec.u)
+        q_c = statistics.mandel_q_closed_form(spec.seq, spec.k, spec.u)
         # both routes share a ~1e-16*(1+u) absolute cancellation floor; when
         # |Q| itself sits near that floor, compare against the floor instead
         worst = max(worst, abs(q_m - q_c) / max(abs(q_c), 1e-3 * (1.0 + spec.u)))

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from .gseq import AuxFunction, Factorial, GSequence, MLGamma, WrightProduct
-from .states import INFINITE, _check_term_budget, _log_term_rows
+from .gseq import (AuxFunction, Factorial, GSequence, MLGamma, MomentReport, WrightProduct,
+                   _moment_report)
+from .states import INFINITE, _check_term_budget, _log_term_rows, _truncation_level
 
 
 def _window(c: float, p: float, s_left: float, s_right: float,
@@ -32,9 +33,10 @@ class WeightFunction:
     """
 
     seq: GSequence
-    k: float
+    k: float  # nonnegative int, or INFINITE
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _truncation_level(self.k))
         self.seq  # builds the sequence: bad parameters fail here, not inside a sum
 
     def _log_factor(self, t: np.ndarray) -> np.ndarray:
@@ -75,11 +77,8 @@ class WeightFunction:
                                   tol, *_window(*self._tails, n), n)
 
     def label(self) -> str:
-        k = "inf" if self.k == INFINITE else int(self.k)
-        return f"{self._kind}({''.join(f'{p}={v},' for p, v in self._params().items())}k={k})"
-
-    def _params(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "k"}
+        params = "".join(f"{p}={v}," for p, v in vars(self.seq).items())
+        return f"{self._kind}({params}k={self.k})"
 
 
 @dataclass(frozen=True)
@@ -90,6 +89,11 @@ class CanonicalTruncatedWeight(WeightFunction):
     _kind = "canonical-truncated"
     _tails = (1.0, 1.0, 1.0, 1.0)
     seq = Factorial()
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.k == INFINITE:
+            raise ValueError("the canonical truncated weight requires a finite k")
 
     def _factor(self, t: np.ndarray, log_scale) -> np.ndarray:
         # F = e^-u exp_k(-u) / exp_k(u) is signed and cancels: its terms u^n/n!,
@@ -169,9 +173,6 @@ class GeneralWeight(WeightFunction):
     def _log_factor(self, t: np.ndarray) -> np.ndarray:
         return self.f.nu * t - self.f.w * np.exp(self.f.rho * t)
 
-    def _params(self) -> dict:
-        return vars(self.f)
-
 
 # tolerance of the Kraetzel kernel in the Wright factor: the halving meeting it leaves
 # errors far below it (Wright moments within 2e-15 of g(n); 1e-9 gave 8e-14)
@@ -195,32 +196,10 @@ def weight_radial_moment(w: WeightFunction, n: int) -> float:
     return float(_radial_moments(w, np.array([n]), specfun.QUAD_TOL)[0])
 
 
-@dataclass(frozen=True)
-class MomentRow:
-    kind: str
-    n: int
-    target: float
-    value: float
-    residual: float
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    rows: tuple[MomentRow, ...]
-    tol: float
-    passed: bool
-
-    @property
-    def max_residual(self) -> float:
-        return max(r.residual for r in self.rows)
-
-
 def moment_check(w: WeightFunction, n_max: int, tol: float) -> MomentReport:
     """Residuals of pi int [T]^-1 U u^n du against g(n) for n = 0..n_max."""
-    if w.k != INFINITE and n_max > int(w.k):
+    if n_max > w.k:
         raise ValueError("n_max must not exceed the truncation level")
     values = w._cancelled_moments(np.arange(n_max + 1), tol)[0].tolist()
-    targets = [w.moment_target(n) for n in range(n_max + 1)]
-    rows = tuple(MomentRow(kind=w.label(), n=n, target=t, value=v, residual=abs(v - t) / t)
-                 for n, (v, t) in enumerate(zip(values, targets)))
-    return MomentReport(rows=rows, tol=tol, passed=all(r.residual <= tol for r in rows))
+    return _moment_report(w.label(), values, [w.moment_target(n) for n in range(n_max + 1)],
+                          tol)

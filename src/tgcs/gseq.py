@@ -164,11 +164,6 @@ class AuxFunction:
         """f(u) u^s at u = exp(t): the Mellin integrand on t = ln u, Jacobian included."""
         return np.exp((s + self.nu) * t - self.w * np.exp(np.minimum(self.rho * t, 700.0)))
 
-    def mellin_closed_form(self, s: float) -> float:
-        """rho^-1 w^(-(s+nu)/rho) Gamma((s+nu)/rho), the exact transform."""
-        t = (s + self.nu) / self.rho
-        return math.exp(-math.log(self.rho) - t * math.log(self.w) + math.lgamma(t))
-
     def matching_sequence(self) -> G1:
         """The g(n) = f^(n+1) sequence generated by this density."""
         return G1(nu=self.nu, rho=self.rho, w=self.w)
@@ -182,24 +177,41 @@ def mellin_transform(f: AuxFunction, s: float) -> float:
 
 
 @dataclass(frozen=True)
-class MellinLinkReport:
-    residuals: tuple[float, ...]
+class MomentRow:
+    kind: str
+    n: int
+    target: float
+    value: float
+    residual: float
+
+
+@dataclass(frozen=True)
+class MomentReport:
+    """A moment identity value(n) = target(n) checked for n = 0..n_max."""
+
+    rows: tuple[MomentRow, ...]
     tol: float
     passed: bool
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals)
+        return max(r.residual for r in self.rows)
 
 
-def verify_mellin_link(f: AuxFunction, seq: GSequence, n_max: int,
-                       tol: float) -> MellinLinkReport:
+def _moment_report(kind: str, values: list[float], targets: list[float],
+                   tol: float) -> MomentReport:
+    """The rows of relative residuals |value - target| / target, n = 0, 1, ..."""
+    rows = tuple(MomentRow(kind=kind, n=n, target=t, value=v, residual=abs(v - t) / t)
+                 for n, (v, t) in enumerate(zip(values, targets)))
+    return MomentReport(rows=rows, tol=tol, passed=all(r.residual <= tol for r in rows))
+
+
+def verify_mellin_link(f: AuxFunction, seq: GSequence, n_max: int, tol: float) -> MomentReport:
     """Relative residuals |f^(n+1) - g(n)| / g(n) for n = 0..n_max, one trapezoid
     row per n at mellin_transform's tolerance."""
     fhat = _trapezoid(f.on_log_axis, QUAD_TOL, -700.0, 700.0, np.arange(n_max + 1) + 1.0)[0]
-    g = [seq.g(n) for n in range(n_max + 1)]
-    residuals = tuple(abs(v - gn) / gn for v, gn in zip(fhat.tolist(), g))
-    return MellinLinkReport(residuals, tol, max(residuals) <= tol)
+    return _moment_report(seq.variant, fhat.tolist(),
+                          [seq.g(n) for n in range(n_max + 1)], tol)
 
 
 @dataclass(frozen=True)
@@ -211,10 +223,12 @@ class AsymptoticTerm:
     l: int = 0
 
     def __post_init__(self):
-        if self.w <= 0 or self.rho <= 0:
+        if not (math.isfinite(self.c) and math.isfinite(self.nu)):
+            raise ValueError("AsymptoticTerm requires finite c and nu")
+        if not (0 < self.w < math.inf and 0 < self.rho < math.inf):
             raise ValueError("AsymptoticTerm requires w > 0 and rho > 0")
-        if self.l < 0:
-            raise ValueError("AsymptoticTerm requires l >= 0")
+        if not (0 <= self.l < math.inf and self.l == int(self.l)):
+            raise ValueError("AsymptoticTerm requires an integer l >= 0")
 
 
 @dataclass(frozen=True)
@@ -237,24 +251,3 @@ class AsymptoticFamily:
                 return j
         raise ValueError("all coefficients vanish; no leading term")
 
-
-def asymptotic_leading_term(fam: AsymptoticFamily, n: int) -> float:
-    """The n-dependence of the large-n probability decay, leading term only.
-
-    rho^(l+1) w^((n+1-nu)/rho) e^(n/rho) (n/rho)^(-(n+1-nu)/rho + 1/2)
-        / (sqrt(2 pi) c ln^l(n/rho))
-    for the first nonvanishing-coefficient term of the family.
-    """
-    if n < 2:
-        raise ValueError("asymptotic form requires n >= 2")
-    t = fam.terms[fam.leading_index()]
-    x = n / t.rho
-    if t.l > 0 and x <= 1.0:
-        raise ValueError("logarithm nonpositive: need n/rho > 1 when l > 0")
-    e = (n + 1.0 - t.nu) / t.rho
-    log_val = ((t.l + 1) * math.log(t.rho) + e * math.log(t.w) + x
-               + (-e + 0.5) * math.log(x) - 0.5 * math.log(2.0 * math.pi)
-               - math.log(abs(t.c)))
-    if t.l > 0:
-        log_val -= t.l * math.log(math.log(x))
-    return math.copysign(math.exp(log_val), t.c)

@@ -9,7 +9,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gseq import Factorial, GSequence, Table
+from .gseq import G1, Factorial, GSequence, MLGamma, Table, WrightProduct
 from .specfun import QUAD_TOL, SERIES_ABS_TOL, truncated_series_scaled
 
 INFINITE = math.inf
@@ -28,6 +28,15 @@ class IncompatibleSpecError(ValueError):
     """Two state specs do not share the sequence/truncation needed by an overlap."""
 
 
+def _truncation_level(k) -> float:
+    """k as a state or weight holds it: INFINITE, or a nonnegative int."""
+    if k == INFINITE:
+        return INFINITE
+    if not (0 <= k < INFINITE and k == int(k)):  # NaN fails every comparison
+        raise ValueError(f"k must be a nonnegative integer or INFINITE, got {k}")
+    return int(k)
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """A (truncated) generalized coherent state |z; k; g>."""
@@ -39,18 +48,15 @@ class StateSpec:
     def __post_init__(self):
         if not math.isfinite(abs(self.z) * abs(self.z)):  # nan, inf, or |z| past 1e154
             raise ValueError(f"|z|^2 must be a finite number, got z = {self.z!r}")
+        object.__setattr__(self, "k", _truncation_level(self.k))
         if self.k == INFINITE:
             if isinstance(self.seq, Table):
                 raise DivergenceError("Table sequences have finite domain; k must be finite")
             if self.u != 0:
                 _check_term_budget(self.seq, self.u)
-        else:
-            if self.k != int(self.k) or self.k < 0:
-                raise ValueError(f"k must be a nonnegative integer or INFINITE, got {self.k}")
-            if isinstance(self.seq, Table) and self.k >= len(self.seq.values):
-                raise ValueError(f"k = {self.k} runs past the end of the Table "
-                                 f"({len(self.seq.values)} values)")
-            object.__setattr__(self, "k", int(self.k))
+        elif isinstance(self.seq, Table) and self.k >= len(self.seq.values):
+            raise ValueError(f"k = {self.k} runs past the end of the Table "
+                             f"({len(self.seq.values)} values)")
 
     @property
     def u(self) -> float:
@@ -75,10 +81,6 @@ class ExcitationDistribution:
 
     probs: np.ndarray
     norm: float
-
-    @property
-    def k(self) -> int:
-        return len(self.probs) - 1
 
 
 @dataclass(frozen=True)
@@ -214,8 +216,7 @@ def overlap(a: StateSpec, b: StateSpec) -> complex:
                 "infinite-k overlaps are only implemented for the canonical sequence")
         z1, z2 = a.z, b.z
         return np.exp(np.conj(z1) * z2 - (abs(z1) ** 2 + abs(z2) ** 2) / 2.0)
-    k = int(a.k)
-    cross, log_scale = truncated_series_scaled(a.seq, k, np.conj(a.z) * b.z)
+    cross, log_scale = truncated_series_scaled(a.seq, a.k, np.conj(a.z) * b.z)
     log_na = log_normalization(a)
     log_nb = log_normalization(b)
     return cross * math.exp(log_scale - 0.5 * (log_na + log_nb))
@@ -252,8 +253,6 @@ def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
 def random_state_spec(rng: np.random.Generator, k_max: int = 20,
                       z_max: float = 10.0, allow_infinite: bool = True) -> StateSpec:
     """Random spec across all parametric variants, for property-style tests."""
-    from .gseq import G1, MLGamma, WrightProduct
-
     variant = rng.integers(0, 4)
     if variant == 0:
         seq: GSequence = Factorial()

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gseq import (G1, AsymptoticFamily, GSequence, MLGamma, WrightProduct,
-                   asymptotic_leading_term)
+from .gseq import G1, AsymptoticFamily, GSequence, MLGamma, WrightProduct
 from .specfun import _log_sum_exp
-from .states import (INFINITE, ExcitationDistribution, StateSpec,
+from .states import (INFINITE, ExcitationDistribution, StateSpec, _truncation_level,
                      excitation_distribution)
 
 BOUNDARY_TOL = 1e-12
@@ -94,8 +93,9 @@ def mandel_q_closed_form(seq: GSequence, k: int, u: float) -> float:
     """
     if u <= 0:
         raise UndefinedAtOriginError("Mandel Q is undefined at z = 0")
-    if k < 1:
-        raise ValueError("closed form requires k >= 1")
+    k = _truncation_level(k)
+    if not 1 <= k < INFINITE:
+        raise ValueError("closed form requires a finite k >= 1")
     log_g = seq.log_g_array(np.arange(k + 1))
     log_u = math.log(u)
     s2 = _log_weighted_sum(log_g, log_u, 2, lambda n: np.log((n + 1.0) * (n + 2.0)))
@@ -116,7 +116,7 @@ def mandel_q2_closed_form(seq: GSequence, u: float) -> float:
 
 def q_small_label_sign(seq: GSequence, k) -> SmallLabelSign:
     """Sign of Q_k as |z| -> 0+, from the g(0..3) ratio conditions."""
-    if k != INFINITE and k < 2:
+    if _truncation_level(k) < 2:
         raise ValueError("the small-label sign conditions require k >= 2")
     g0, g1, g2 = seq.g(0), seq.g(1), seq.g(2)
     r2 = g0 * g2 / (g1 * g1)
@@ -149,8 +149,9 @@ def q2_zero_crossing(seq: GSequence) -> float | None:
 
 def q_large_label_approx(seq: GSequence, k: int, z: complex) -> float:
     """Two-term large-label form Q_k ~ -1 + g(k)/(k g(k-1)) |z|^-2."""
-    if k < 2:
-        raise ValueError("large-label approximation requires k >= 2")
+    k = _truncation_level(k)
+    if not 2 <= k < INFINITE:
+        raise ValueError("large-label approximation requires a finite k >= 2")
     u = abs(z) ** 2
     if u < 1.0:
         raise ValueError("large-label approximation requires |z| >= 1")
@@ -192,8 +193,20 @@ def p_asymptotic(kind: MLGamma | WrightProduct | G1 | AsymptoticFamily, n: int,
         log_p = (math.log(rho) + e * math.log(w) + n * log_u + x + (-e + 0.5) * math.log(x)
                  - 0.5 * math.log(two_pi) - math.log(norm))
     elif isinstance(kind, AsymptoticFamily):
-        lead = asymptotic_leading_term(kind, n)
-        log_p = n * log_u + math.log(lead) - math.log(norm)
+        # the leading term c u^-nu exp(-w u^rho) ln^l u gives 1/g(n) ~
+        # rho^(l+1) w^e e^x x^(-e + 1/2) / (sqrt(2 pi) c ln^l x), x = n/rho, e = (n+1-nu)/rho
+        t = kind.terms[kind.leading_index()]
+        if t.c < 0:
+            raise ValueError("a negative leading coefficient gives no p(n) > 0")
+        x = n / t.rho
+        if t.l > 0 and x <= 1.0:
+            raise ValueError("logarithm nonpositive: need n/rho > 1 when l > 0")
+        e = (n + 1.0 - t.nu) / t.rho
+        log_p = ((t.l + 1) * math.log(t.rho) + e * math.log(t.w) + n * log_u + x
+                 + (-e + 0.5) * math.log(x) - 0.5 * math.log(two_pi) - math.log(t.c)
+                 - math.log(norm))
+        if t.l > 0:
+            log_p -= t.l * math.log(math.log(x))
     else:
         raise TypeError(f"unknown asymptotics kind: {kind!r}")
     return math.exp(log_p)

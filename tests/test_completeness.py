@@ -122,6 +122,26 @@ class TestWeightEval:
             MLWeight(1.0, 1.0, k).eval(u)
 
 
+class TestTruncationLevel:
+    @pytest.mark.parametrize("k", [2.5, math.nan, -1, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda k: MLWeight(1.0, 1.0, k), lambda k: WrightWeight(1.0, 1.0, k),
+        lambda k: GeneralWeight(AuxFunction(), G1(0.0, 1.0, 1.0), k), CanonicalTruncatedWeight,
+    ], ids=["ml", "wright", "general", "canonical-truncated"])
+    def test_refused_at_construction(self, make, k):
+        # 2.5 used to sum to n = 3, NaN and -1 to fail inside the sum
+        with pytest.raises(ValueError, match="k must be"):
+            make(k)
+
+    def test_canonical_truncated_needs_a_finite_k(self):
+        with pytest.raises(ValueError, match="finite k"):
+            CanonicalTruncatedWeight(INFINITE)
+
+    def test_an_integral_float_is_held_as_an_int(self):
+        w = MLWeight(1.0, 1.0, 3.0)
+        assert w.k == 3 and isinstance(w.k, int) and w.label() == "ml(alpha=1.0,beta=1.0,k=3)"
+
+
 class TestMomentCheck:
     def test_ml_infinite(self):
         rep = moment_check(MLWeight(1.0, 1.0, INFINITE), 6, 1e-8)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from tgcs.gseq import (AsymptoticFamily, AsymptoticTerm, AuxFunction, Factorial,
                        G1, GSequence, MLGamma, Table, WrightProduct, _VARIANTS,
-                       asymptotic_leading_term, mellin_transform,
-                       verify_mellin_link)
+                       mellin_transform, verify_mellin_link)
 from tgcs.states import random_state_spec
+from tgcs.statistics import p_asymptotic
 
 
 def reference_log_g(seq, n: int) -> float:
@@ -28,6 +28,12 @@ def reference_log_g(seq, n: int) -> float:
         s = (n + seq.nu + 1.0) / seq.rho
         return -math.log(seq.rho) - s * math.log(seq.w) + math.lgamma(s)
     return math.log(seq.values[n])
+
+
+def mellin_closed_form(f: AuxFunction, s: float) -> float:
+    """rho^-1 w^(-(s+nu)/rho) Gamma((s+nu)/rho), the exact transform of f at any s."""
+    t = (s + f.nu) / f.rho
+    return math.exp(-math.log(f.rho) - t * math.log(f.w) + math.lgamma(t))
 
 
 sequences = st.one_of(
@@ -174,26 +180,24 @@ class TestAuxFunction:
         f = AuxFunction(nu=1.5, rho=0.8, w=1.3)
         for s in [1.0, 2.5, 5.0]:
             assert mellin_transform(f, s) == pytest.approx(
-                f.mellin_closed_form(s), rel=1e-8)
+                mellin_closed_form(f, s), rel=1e-8)
 
     @given(nu=st.floats(0.0, 2.0), rho=st.floats(0.5, 2.0), w=st.floats(0.5, 2.0),
            s=st.floats(1.0, 9.0))
     @settings(max_examples=60, deadline=None)
     def test_transform_matches_closed_form(self, nu, rho, w, s):
         f = AuxFunction(nu=nu, rho=rho, w=w)
-        assert mellin_transform(f, s) == pytest.approx(f.mellin_closed_form(s), rel=1e-10)
+        assert mellin_transform(f, s) == pytest.approx(mellin_closed_form(f, s), rel=1e-10)
 
     def test_default_is_exponential(self):
         f = AuxFunction()
         # Mellin transform of e^-u is Gamma(s)
         for s in [1.0, 3.0, 6.0]:
-            assert f.mellin_closed_form(s) == pytest.approx(math.gamma(s), rel=1e-13)
+            assert mellin_transform(f, s) == pytest.approx(math.gamma(s), rel=1e-13)
 
     def test_matching_sequence_is_the_transform_shifted(self):
-        f = AuxFunction(nu=0.5, rho=1.5, w=2.0)
-        seq = f.matching_sequence()
-        for n in range(8):
-            assert seq.g(n) == pytest.approx(f.mellin_closed_form(n + 1.0), rel=1e-13)
+        # G1's g(n) is the transform at s = n + 1 (TestMellinLink checks the values)
+        assert AuxFunction(nu=0.5, rho=1.5, w=2.0).matching_sequence() == G1(0.5, 1.5, 2.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -252,6 +256,16 @@ class TestAsymptoticFamily:
         with pytest.raises(ValueError):
             AsymptoticFamily(())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["c", "nu", "w", "rho", "l"])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        with pytest.raises(ValueError):
+            AsymptoticTerm(**{"c": 1.0, "nu": 0.5, "w": 1.0, "rho": 1.0, "l": 1, field: bad})
+
+    def test_non_integer_log_power_rejected(self):
+        with pytest.raises(ValueError):
+            AsymptoticTerm(1.0, 0.0, 1.0, 1.0, l=1.5)
+
     def test_leading_index_skips_zero_coefficients(self):
         fam = AsymptoticFamily((
             AsymptoticTerm(c=0.0, nu=0.0, w=1.0, rho=1.0),
@@ -268,13 +282,13 @@ class TestAsymptoticFamily:
         # f = e^-u has g(n) = n!; the scale formula must track 1/n! by Stirling
         fam = AsymptoticFamily((AsymptoticTerm(c=1.0, nu=0.0, w=1.0, rho=1.0),))
         for n in [20, 40, 60]:
-            ratio = asymptotic_leading_term(fam, n) * math.factorial(n)
+            ratio = p_asymptotic(fam, n, 1.0, 1.0) * math.factorial(n)
             assert ratio == pytest.approx(1.0, rel=0.01)
 
     def test_leading_term_input_validation(self):
         fam = AsymptoticFamily((AsymptoticTerm(c=1.0, nu=0.0, w=1.0, rho=1.0, l=1),))
         with pytest.raises(ValueError):
-            asymptotic_leading_term(fam, 1)
-        with pytest.raises(ValueError):
-            asymptotic_leading_term(
-                AsymptoticFamily((AsymptoticTerm(1.0, 0.0, 1.0, 4.0, l=1),)), 3)
+            p_asymptotic(fam, 9, 1.0, 1.0)
+        with pytest.raises(ValueError):  # ln ln(n/rho) needs n/rho > 1
+            p_asymptotic(AsymptoticFamily((AsymptoticTerm(1.0, 0.0, 1.0, 40.0, l=1),)),
+                         30, 1.0, 1.0)

@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tgcs.gseq import (AsymptoticFamily, AsymptoticTerm, Factorial, G1, MLGamma, Table,
-                       WrightProduct, asymptotic_leading_term)
+                       WrightProduct)
 from tgcs.specfun import mittag_leffler, wright
 from tgcs.states import (ExcitationDistribution, INFINITE, StateSpec,
                          excitation_distribution, random_state_spec)
@@ -137,6 +138,18 @@ class TestSmallLabelSign:
             q_small_label_sign(Factorial(), 1)
 
 
+@pytest.mark.parametrize("k", [2.5, math.nan])
+@pytest.mark.parametrize("helper", [
+    lambda k: mandel_q_closed_form(Factorial(), k, 1.0),
+    lambda k: q_large_label_approx(Factorial(), k, 2.0),
+    lambda k: q_small_label_sign(Factorial(), k),
+], ids=["mandel_q_closed_form", "q_large_label_approx", "q_small_label_sign"])
+def test_helpers_refuse_a_k_that_is_no_truncation_level(helper, k):
+    # 2.5 used to be read as 3 (or g(2.5)), NaN to pass every size check
+    with pytest.raises(ValueError, match="k must be"):
+        helper(k)
+
+
 class TestZeroCrossing:
     def test_factorial_has_none(self):
         assert q2_zero_crossing(Factorial()) is None
@@ -250,10 +263,45 @@ class TestProbabilityAsymptotics:
         with pytest.raises(TypeError):
             p_asymptotic("poisson", 20, 1.0, 1.0)
 
+    @pytest.mark.parametrize("c, nu, w, rho, l", [
+        (1.0, 0.0, 1.0, 1.0, 0), (2.0, 0.5, 1.0, 1.5, 0), (0.7, -0.5, 2.0, 0.8, 0),
+        (1.0, 0.0, 1.0, 1.0, 1), (1.0, 0.5, 1.0, 1.5, 1), (1.0, -0.5, 1.0, 0.8, 2)])
+    def test_family_tends_to_its_exact_mellin_sequence(self, c, nu, w, rho, l):
+        # f = c u^-nu e^(-w u^rho) ln^l u has, through x = u^rho, the exact
+        # g(n) = c rho^-(l+1) d^l/ds^l [w^-s Gamma(s)] at s = (n+1-nu)/rho; at
+        # u = g(n)^(1/n) and norm 1 the exact p(n) is 1
+        fam = AsymptoticFamily((AsymptoticTerm(c, nu, w, rho, l),))
+
+        def ratio(n: int) -> float:
+            with mpmath.workdps(40):
+                s = mpmath.mpf(n + 1 - nu) / rho
+                g = c * mpmath.mpf(rho) ** -(l + 1) * mpmath.diff(
+                    lambda s: mpmath.mpf(w) ** -s * mpmath.gamma(s), s, l)
+                return p_asymptotic(fam, n, float(g ** (mpmath.mpf(1) / n)), 1.0)
+
+        near, far = ratio(80), ratio(320)
+        assert abs(far - 1.0) <= 5e-3
+        assert abs(far - 1.0) < abs(near - 1.0)
+
+    @pytest.mark.parametrize("n", [200, 250])
+    def test_family_past_the_double_range_of_its_lead(self, n):
+        # the lead ~ 1/n! underflows past n ~ 171, but p(n) is a double here
+        u, norm = 100.0, math.exp(100.0)
+        fam = AsymptoticFamily((AsymptoticTerm(1.0, 0.0, 1.0, 1.0),))
+        assert p_asymptotic(fam, n, u, norm) == pytest.approx(
+            p_asymptotic(G1(0.0, 1.0, 1.0), n, u, norm), rel=1e-12)
+
+    def test_negative_leading_coefficient_refused(self):
+        fam = AsymptoticFamily((AsymptoticTerm(0.0, 0.0, 1.0, 1.0, 1),
+                                AsymptoticTerm(-1.0, 0.0, 1.0, 1.0)))
+        with pytest.raises(ValueError, match=r"p\(n\) > 0"):
+            p_asymptotic(fam, 20, 1.0, 1.0)
+
 
 def reference_p_asymptotic(kind, n, u, norm):
     """The four large-n forms, one per kind, as written when each kind had its
-    own parameter record (G1's with the ln rho of its 1/rho prefactor)."""
+    own parameter record (G1's with the ln rho of its 1/rho prefactor), the
+    family's leading term in log space up to the final exp."""
     log_u = math.log(u)
     two_pi = 2.0 * math.pi
     if isinstance(kind, MLGamma):
@@ -272,8 +320,14 @@ def reference_p_asymptotic(kind, n, u, norm):
         log_p = (math.log(rho) + e * math.log(w) + n * log_u + x + (-e + 0.5) * math.log(x)
                  - 0.5 * math.log(two_pi) - math.log(norm))
     else:
-        lead = asymptotic_leading_term(kind, n)
-        log_p = n * log_u + math.log(lead) - math.log(norm)
+        t = kind.terms[kind.leading_index()]
+        x = n / t.rho
+        e = (n + 1.0 - t.nu) / t.rho
+        log_p = ((t.l + 1) * math.log(t.rho) + e * math.log(t.w) + n * log_u + x
+                 + (-e + 0.5) * math.log(x) - 0.5 * math.log(two_pi) - math.log(t.c)
+                 - math.log(norm))
+        if t.l > 0:
+            log_p -= t.l * math.log(math.log(x))
     return math.exp(log_p)
 
 
