@@ -58,9 +58,9 @@ class WeightFunction:
             self.seq, self.k, flat, top)]).reshape(np.shape(t))[()]
 
     def eval(self, u):
-        """U(u) for u > 0, a float or an array; ValueError if any u is not > 0."""
-        if not np.all(np.greater(u, 0.0)):  # NaN too
-            raise ValueError("weight functions are defined on u > 0")
+        """U(u) for u > 0, a float or an array; ValueError if any u is not finite and > 0."""
+        if not np.all(np.greater(u, 0.0) & np.isfinite(u)):  # NaN too
+            raise ValueError("weight functions are defined on finite u > 0")
         t = np.log(u)
         log_norm = self._log_normalization(t)
         # an exponential of t in F past the double range gives its value, F = 0
@@ -75,6 +75,18 @@ class WeightFunction:
         """[values, error estimates] of int F u^(n+1) dt, one trapezoid row per n."""
         return specfun._trapezoid(lambda t, n: self._factor(t, (n + 1.0) * t),
                                   tol, *_window(*self._tails, n), n)
+
+    def _radial_moments(self, n: np.ndarray) -> np.ndarray:
+        """pi * int_0^inf [T(u)]^-1 U(u) u^n du for each n, one trapezoid row per n: ln T
+        once per node, T still divided out so that this cross-checks the cancelled route."""
+
+        def f(t: np.ndarray, n: np.ndarray) -> np.ndarray:
+            log_norm = self._log_normalization(t)
+            with np.errstate(over="ignore"):  # U, as eval gives it, over T
+                u_over_t = self._factor(t, log_norm) / math.pi / np.exp(log_norm)
+                return u_over_t * np.exp(t) ** (n + 1.0)
+
+        return math.pi * specfun._trapezoid(f, specfun.QUAD_TOL, *_window(*self._tails, n), n)[0]
 
     def label(self) -> str:
         params = "".join(f"{p}={v}," for p, v in vars(self.seq).items())
@@ -179,21 +191,9 @@ class GeneralWeight(WeightFunction):
 _KRATZEL_TOL = 5e-10
 
 
-def _radial_moments(w: WeightFunction, n: np.ndarray, tol: float) -> np.ndarray:
-    """pi * int_0^inf [T(u)]^-1 U(u) u^n du for each n, one trapezoid row per n: ln T
-    once per node, T still divided out so that this cross-checks the cancelled route."""
-
-    def f(t: np.ndarray, n: np.ndarray) -> np.ndarray:
-        log_norm = w._log_normalization(t)
-        with np.errstate(over="ignore"):  # U, as eval gives it, over T
-            return w._factor(t, log_norm) / math.pi / np.exp(log_norm) * np.exp(t) ** (n + 1.0)
-
-    return math.pi * specfun._trapezoid(f, tol, *_window(*w._tails, n), n)[0]
-
-
 def weight_radial_moment(w: WeightFunction, n: int) -> float:
     """pi * int_0^inf [T(u)]^-1 U(u) u^n du, evaluated without cancellation."""
-    return float(_radial_moments(w, np.array([n]), specfun.QUAD_TOL)[0])
+    return float(w._radial_moments(np.array([n]))[0])
 
 
 def moment_check(w: WeightFunction, n_max: int, tol: float) -> MomentReport:

@@ -269,6 +269,6 @@ def kratzel_kernel(seq: "WrightProduct", u: float) -> float:
     the integrand decays doubly exponentially at both ends; 0 where the kernel
     underflows.
     """
-    if u <= 0:
-        raise ValueError("kratzel_kernel requires u > 0")
+    if not 0 < u < math.inf:  # NaN too
+        raise ValueError("kratzel_kernel requires a finite u > 0")
     return math.exp(_kratzel(seq.lam, seq.mu, math.log(u), QUAD_TOL))

@@ -10,7 +10,7 @@ from typing import Iterator
 import numpy as np
 
 from .gseq import G1, Factorial, GSequence, MLGamma, Table, WrightProduct
-from .specfun import QUAD_TOL, SERIES_ABS_TOL, truncated_series_scaled
+from .specfun import SERIES_ABS_TOL, truncated_series_scaled
 
 INFINITE = math.inf
 # one term budget for the infinite-k convergence probe and summation
@@ -29,12 +29,22 @@ class IncompatibleSpecError(ValueError):
 
 
 def _truncation_level(k) -> float:
-    """k as a state or weight holds it: INFINITE, or a nonnegative int."""
+    """k as a state or weight holds it: INFINITE, or an int in [0, MAX_TERMS), the
+    term budget that a k = inf sum gets too."""
     if k == INFINITE:
         return INFINITE
-    if not (0 <= k < INFINITE and k == int(k)):  # NaN fails every comparison
-        raise ValueError(f"k must be a nonnegative integer or INFINITE, got {k}")
+    if not (0 <= k < MAX_TERMS and k == int(k)):  # NaN fails every comparison
+        raise ValueError(f"k must be a nonnegative integer below {MAX_TERMS}, or INFINITE, "
+                         f"got {k}")
     return int(k)
+
+
+def _modulus_squared(z: complex) -> float:
+    """|z|^2, refused unless finite: NaN, inf, or |z| past about 1e154 (where abs(z)
+    itself can raise OverflowError)."""
+    if not math.isfinite(z.real * z.real + z.imag * z.imag):
+        raise ValueError(f"|z|^2 must be a finite number, got z = {z!r}")
+    return abs(z) ** 2
 
 
 @dataclass(frozen=True)
@@ -46,8 +56,7 @@ class StateSpec:
     z: complex
 
     def __post_init__(self):
-        if not math.isfinite(abs(self.z) * abs(self.z)):  # nan, inf, or |z| past 1e154
-            raise ValueError(f"|z|^2 must be a finite number, got z = {self.z!r}")
+        _modulus_squared(self.z)
         object.__setattr__(self, "k", _truncation_level(self.k))
         if self.k == INFINITE:
             if isinstance(self.seq, Table):
@@ -222,12 +231,9 @@ def overlap(a: StateSpec, b: StateSpec) -> complex:
     return cross * math.exp(log_scale - 0.5 * (log_na + log_nb))
 
 
-def bargmann_poly(phi: FockVector, seq: GSequence, k: int, zbar: complex) -> complex:
-    """sum_n <n||phi> zbar^n / sqrt(g(n)) over the truncated basis."""
-    coeffs = phi.coeffs
-    if len(coeffs) != k + 1:
-        raise ValueError(f"FockVector must have k+1 = {k + 1} entries, got {len(coeffs)}")
-    scaled = coeffs * np.exp(-0.5 * seq.log_g_array(np.arange(k + 1)))
+def bargmann_poly(phi: FockVector, seq: GSequence, zbar: complex) -> complex:
+    """sum_n <n||phi> zbar^n / sqrt(g(n)) over the basis phi spans."""
+    scaled = phi.coeffs * np.exp(-0.5 * seq.log_g_array(np.arange(len(phi.coeffs))))
     return complex(np.polyval(scaled[::-1], zbar))
 
 
@@ -239,15 +245,13 @@ def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
     2-D integral to the radial weight moments; those are evaluated by one
     quadrature through the supplied weight function, a row per nonzero term.
     """
-    from .completeness import _radial_moments
-
     if len(psi.coeffs) != k + 1 or len(phi.coeffs) != k + 1:
         raise ValueError("FockVectors must have k+1 entries")
     c = np.conj(psi.coeffs) * phi.coeffs
     n = np.flatnonzero(c)
     if n.size == 0:
         return 0j
-    return complex(np.sum(c[n] * _radial_moments(weight, n, QUAD_TOL) * np.exp(-seq.log_g_array(n))))
+    return complex(np.sum(c[n] * weight._radial_moments(n) * np.exp(-seq.log_g_array(n))))
 
 
 def random_state_spec(rng: np.random.Generator, k_max: int = 20,

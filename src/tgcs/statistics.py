@@ -10,8 +10,8 @@ import numpy as np
 
 from .gseq import G1, AsymptoticFamily, GSequence, MLGamma, WrightProduct
 from .specfun import _log_sum_exp
-from .states import (INFINITE, ExcitationDistribution, StateSpec, _truncation_level,
-                     excitation_distribution)
+from .states import (INFINITE, ExcitationDistribution, StateSpec, _modulus_squared,
+                     _truncation_level, excitation_distribution)
 
 BOUNDARY_TOL = 1e-12
 
@@ -79,6 +79,16 @@ def mandel_q(spec: StateSpec) -> QReport:
     return QReport(q=q, mean_n=mean, var_n=m2 - mean * mean, regime=_classify(q))
 
 
+def _label(u: float) -> float:
+    """u = |z|^2 as the closed forms and p_asymptotic take it: finite, and > 0
+    (Q divides by the mean count, which vanishes at z = 0)."""
+    if not math.isfinite(u):
+        raise ValueError(f"|z|^2 must be a finite number, got {u}")
+    if u <= 0:
+        raise UndefinedAtOriginError(f"undefined at z = 0: |z|^2 must be > 0, got {u}")
+    return u
+
+
 def _log_weighted_sum(log_g: np.ndarray, log_u: float, offset: int,
                       log_weight) -> float:
     """ln sum_{n=0}^{k-offset} weight(n) u^n / g(n+offset), log_g = ln g(0..k)."""
@@ -91,13 +101,11 @@ def mandel_q_closed_form(seq: GSequence, k: int, u: float) -> float:
 
     At k = 1 the first series is empty and Q_1 = -g(0) u / (g(1) + g(0) u).
     """
-    if u <= 0:
-        raise UndefinedAtOriginError("Mandel Q is undefined at z = 0")
+    log_u = math.log(_label(u))
     k = _truncation_level(k)
     if not 1 <= k < INFINITE:
         raise ValueError("closed form requires a finite k >= 1")
     log_g = seq.log_g_array(np.arange(k + 1))
-    log_u = math.log(u)
     s2 = _log_weighted_sum(log_g, log_u, 2, lambda n: np.log((n + 1.0) * (n + 2.0)))
     s1 = _log_weighted_sum(log_g, log_u, 1, lambda n: np.log(n + 1.0))
     s0 = _log_weighted_sum(log_g, log_u, 0, lambda n: 0.0)
@@ -106,11 +114,13 @@ def mandel_q_closed_form(seq: GSequence, k: int, u: float) -> float:
 
 def mandel_q2_closed_form(seq: GSequence, u: float) -> float:
     """The explicit k = 2 rational form of Q_2(u)."""
-    if u <= 0:
-        raise UndefinedAtOriginError("Mandel Q is undefined at z = 0")
+    _label(u)
     g0, g1, g2 = seq.g(0), seq.g(1), seq.g(2)
+    d = g1 * g2 + g0 * g2 * u + g0 * g1 * u * u
+    if not math.isfinite(d):  # u past about 1e154: the log-space form does not overflow
+        return mandel_q_closed_form(seq, 2, u)
     a = 2.0 * g1 / (g2 + 2.0 * g1 * u)
-    b = g0 * (g2 + 2.0 * g1 * u) / (g1 * g2 + g0 * g2 * u + g0 * g1 * u * u)
+    b = g0 * (g2 + 2.0 * g1 * u) / d
     return u * (a - b)
 
 
@@ -138,11 +148,10 @@ def q_small_label_sign(seq: GSequence, k) -> SmallLabelSign:
 
 
 def q2_zero_crossing(seq: GSequence) -> float | None:
-    """zeta_0, the |z| where Q_2 changes sign; None when g(0)g(2)/g(1)^2 >= 2."""
-    g0, g1, g2 = seq.g(0), seq.g(1), seq.g(2)
-    r2 = g0 * g2 / (g1 * g1)
-    if r2 >= 2.0 - BOUNDARY_TOL:
+    """zeta_0, the |z| where Q_2 changes sign; None unless Q_2 starts positive."""
+    if q_small_label_sign(seq, 2) is not SmallLabelSign.POSITIVE:
         return None
+    g0, g1, g2 = seq.g(0), seq.g(1), seq.g(2)
     inner = math.sqrt(4.0 * g1 * g1 / (g0 * g2) - 1.0) - 1.0
     return math.sqrt(g2 / (2.0 * g1) * inner)
 
@@ -152,7 +161,7 @@ def q_large_label_approx(seq: GSequence, k: int, z: complex) -> float:
     k = _truncation_level(k)
     if not 2 <= k < INFINITE:
         raise ValueError("large-label approximation requires a finite k >= 2")
-    u = abs(z) ** 2
+    u = _modulus_squared(z)
     if u < 1.0:
         raise ValueError("large-label approximation requires |z| >= 1")
     ratio = math.exp(seq.log_g(k) - seq.log_g(k - 1)) / k
@@ -173,40 +182,42 @@ def p_asymptotic(kind: MLGamma | WrightProduct | G1 | AsymptoticFamily, n: int,
     norm is the (truncated or not) normalization-series value dividing the
     distribution; the ratio to the exact p(n) tends to 1 as n grows.
     """
-    if n < 10:
-        raise ValueError("asymptotic form is meant for n >= 10")
-    log_u = math.log(u)
+    log_u = math.log(_label(u))
+    if not (10 <= n < math.inf and n == int(n)):  # NaN fails every comparison
+        raise ValueError(f"asymptotic form is meant for an integer n >= 10, got {n}")
+    if not 0 < norm < math.inf:
+        raise ValueError(f"norm must be a normalization value, finite and > 0, got {norm}")
     two_pi = 2.0 * math.pi
-    if isinstance(kind, MLGamma):
-        a, b = kind.alpha, kind.beta
-        log_p = (n * log_u + a * n + (-a * n - b + 0.5) * math.log(a * n)
-                 - 0.5 * math.log(two_pi) - math.log(norm))
-    elif isinstance(kind, WrightProduct):
+    if isinstance(kind, WrightProduct):
         lam, mu = kind.lam, kind.mu
         log_p = (n * log_u + (lam + 1.0) * n + (-lam * n - mu + 0.5) * math.log(lam)
                  + (-(lam + 1.0) * n - mu) * math.log(n)
                  - math.log(two_pi) - math.log(norm))
-    elif isinstance(kind, G1):
-        nu, rho, w = kind.nu, kind.rho, kind.w
-        e = (n + nu + 1.0) / rho
-        x = n / rho
-        log_p = (math.log(rho) + e * math.log(w) + n * log_u + x + (-e + 0.5) * math.log(x)
-                 - 0.5 * math.log(two_pi) - math.log(norm))
-    elif isinstance(kind, AsymptoticFamily):
-        # the leading term c u^-nu exp(-w u^rho) ln^l u gives 1/g(n) ~
-        # rho^(l+1) w^e e^x x^(-e + 1/2) / (sqrt(2 pi) c ln^l x), x = n/rho, e = (n+1-nu)/rho
-        t = kind.terms[kind.leading_index()]
-        if t.c < 0:
-            raise ValueError("a negative leading coefficient gives no p(n) > 0")
-        x = n / t.rho
-        if t.l > 0 and x <= 1.0:
-            raise ValueError("logarithm nonpositive: need n/rho > 1 when l > 0")
-        e = (n + 1.0 - t.nu) / t.rho
-        log_p = ((t.l + 1) * math.log(t.rho) + e * math.log(t.w) + n * log_u + x
-                 + (-e + 0.5) * math.log(x) - 0.5 * math.log(two_pi) - math.log(t.c)
-                 - math.log(norm))
-        if t.l > 0:
-            log_p -= t.l * math.log(math.log(x))
     else:
-        raise TypeError(f"unknown asymptotics kind: {kind!r}")
+        # one term c u^-nu exp(-w u^rho) ln^l u (ML and G1 are such terms) gives 1/g(n) ~
+        # rho^(l+1) w^e e^x x^(-e + 1/2) / (sqrt(2 pi) c ln^l (x/w)), x = n/rho,
+        # e = (n+1-nu)/rho; x/w = u*^rho at the saddle point u* of the Mellin integrand
+        lead, log_c, log_ln = 0.0, 0.0, 0.0
+        if isinstance(kind, MLGamma):
+            x, e = kind.alpha * n, kind.alpha * n + kind.beta
+        elif isinstance(kind, G1):
+            x, e = n / kind.rho, (n + kind.nu + 1.0) / kind.rho
+            lead = math.log(kind.rho) + e * math.log(kind.w)
+        elif isinstance(kind, AsymptoticFamily):
+            t = kind.terms[kind.leading_index()]
+            if t.c < 0:
+                raise ValueError("a negative leading coefficient gives no p(n) > 0")
+            x, e, log_c = n / t.rho, (n + 1.0 - t.nu) / t.rho, math.log(t.c)
+            if t.l > 0:
+                if x / t.w <= 1.0:
+                    raise ValueError("logarithm nonpositive: need n/(rho w) > 1 when l > 0")
+                log_ln = t.l * math.log(math.log(x / t.w))
+            lead = (t.l + 1) * math.log(t.rho) + e * math.log(t.w)
+        else:
+            raise TypeError(f"unknown asymptotics kind: {kind!r}")
+        log_p = (lead + n * log_u + x + (-e + 0.5) * math.log(x) - 0.5 * math.log(two_pi)
+                 - log_c - math.log(norm) - log_ln)
+    if not log_p < 709.78:  # exp overflows past ln(DBL_MAX) = 709.78...; NaN fails too
+        raise ValueError(f"p(n) = exp({log_p}) is past the double range: "
+                         "norm is not the normalization at u")
     return math.exp(log_p)

@@ -71,6 +71,14 @@ class TestProbs:
             "z_grid": {"min": 0.0, "max": 1.0, "points": 2}})
         assert main(["probs", "--config", cfg]) == 2
 
+    def test_k_past_the_term_budget_is_config_error(self, tmp_path, capsys):
+        # this used to end in numpy's MemoryError for 7 TiB, a traceback and exit 1
+        cfg = write_config(tmp_path, "cfg.json", {
+            "sequence": {"variant": "factorial"}, "k": 10 ** 12,
+            "z_grid": {"min": 0.0, "max": 1.0, "points": 2}})
+        assert main(["probs", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 class TestMandel:
     def test_fixed_sequence_grid(self, tmp_path):

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, i0e, k0e
 
@@ -13,7 +13,7 @@ from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight
                                WrightWeight, moment_check, weight_radial_moment)
 from tgcs.gseq import AuxFunction, G1
 from tgcs.specfun import QuadratureError, _trapezoid
-from tgcs.states import INFINITE, DivergenceError
+from tgcs.states import INFINITE, MAX_TERMS, DivergenceError
 
 EPS = float(np.finfo(float).eps)
 
@@ -120,6 +120,59 @@ class TestWeightEval:
         # one ValueError before any log or sum, not a math domain error inside it
         with pytest.raises(ValueError, match="u > 0"):
             MLWeight(1.0, 1.0, k).eval(u)
+
+
+_WEIGHTS = [lambda k: MLWeight(0.5, 0.5, k), lambda k: WrightWeight(0.5, 0.5, k),
+            lambda k: GeneralWeight(AuxFunction(0.5, 1.5, 2.0), G1(0.5, 1.5, 2.0), k),
+            CanonicalTruncatedWeight]
+_WEIGHT_IDS = ["ml", "wright", "general", "canonical-truncated"]
+
+
+class TestLabelSweep:
+    @pytest.mark.parametrize("make", _WEIGHTS, ids=_WEIGHT_IDS)
+    @pytest.mark.parametrize("u", [math.inf, np.array([1.0, math.inf])])
+    def test_refuses_an_infinite_u(self, make, u):
+        # a RuntimeWarning and nan at finite k; MLWeight at k = inf gave a
+        # DivergenceError for "u=inf"
+        for k in [6, INFINITE] if make is not CanonicalTruncatedWeight else [6]:
+            with pytest.raises(ValueError, match="finite u > 0"):
+                make(k).eval(u)
+
+    @pytest.mark.parametrize("make", _WEIGHTS, ids=_WEIGHT_IDS)
+    @given(k=st.sampled_from([6, INFINITE]), u=st.floats())
+    @settings(max_examples=100, deadline=None)
+    @example(k=6, u=math.inf)
+    def test_eval_is_finite_or_refused(self, make, k, u):
+        if make is CanonicalTruncatedWeight and k == INFINITE:
+            return
+        try:
+            value = make(k).eval(u)
+        except ValueError:
+            return
+        assert math.isfinite(value), (u, value)
+
+    @pytest.mark.parametrize("make", _WEIGHTS, ids=_WEIGHT_IDS)
+    @given(k=st.one_of(st.integers(), st.floats()))
+    @settings(max_examples=60, deadline=None)
+    def test_any_k_is_a_level_or_refused(self, make, k):
+        # a k past 1000 but inside the term budget is built and not evaluated
+        try:
+            w = make(k)
+        except ValueError:
+            return
+        assert w.k == INFINITE or 0 <= w.k < MAX_TERMS
+        if w.k <= 1000:
+            try:
+                value = w.eval(1.0)
+            except ValueError:
+                return
+            assert math.isfinite(value)
+
+    def test_a_k_past_the_term_budget_is_refused_when_built(self):
+        # MLWeight(1, 1, k=10^12).eval(1.0) used to allocate 7 TiB
+        for k in [MAX_TERMS, 10 ** 12]:
+            with pytest.raises(ValueError, match="k must be"):
+                MLWeight(1.0, 1.0, k)
 
 
 class TestTruncationLevel:

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tgcs.gseq import Factorial, MLGamma, WrightProduct
@@ -198,6 +198,24 @@ class TestKratzelKernel:
         p = WrightProduct(0.5, 1.5)
         for u in np.geomspace(1e-6, 1e3, 30):
             assert kratzel_kernel(p, u) >= 0.0
+
+    @pytest.mark.parametrize("u", [math.inf, math.nan])
+    def test_refuses_a_non_finite_u(self, u):
+        # nan came back as nan (after a RuntimeWarning), inf as a value
+        with pytest.raises(ValueError, match="finite u > 0"):
+            kratzel_kernel(WrightProduct(1.0, 1.0), u)
+
+    @given(st.sampled_from([WrightProduct(0.5, 0.5), WrightProduct(1.0, 1.0),
+                            WrightProduct(2.0, 0.3)]), st.floats())
+    @settings(max_examples=200, deadline=None)
+    @example(WrightProduct(0.5, 0.5), math.nan)
+    def test_label_sweep_finite_or_refused(self, seq, u):
+        # a non-finite u used to come back as 0.0
+        try:
+            value = kratzel_kernel(seq, u)
+        except ValueError:
+            return
+        assert math.isfinite(u) and math.isfinite(value), (u, value)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

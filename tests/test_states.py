@@ -52,6 +52,49 @@ class TestStateSpec:
                 StateSpec(Factorial(), k, 1.0)
 
 
+_SEQS = st.sampled_from([Factorial(), MLGamma(0.5, 0.5), WrightProduct(0.5, 0.5),
+                         G1(0.3, 1.5, 2.0), MLGamma(0.1, 0.1)])
+
+
+class TestLabelSweep:
+    def test_a_k_past_the_term_budget_is_refused_when_built(self):
+        # built lazily, then excitation_distribution tried to allocate 7 TiB at 10^12
+        for k in [MAX_TERMS, 10 ** 12, float(MAX_TERMS)]:
+            with pytest.raises(ValueError, match="k must be"):
+                StateSpec(Factorial(), k, 1.0)
+
+    def test_a_modulus_past_the_double_range_is_refused(self):
+        # both parts are finite, but abs(z) itself raised OverflowError
+        with pytest.raises(ValueError, match="finite number"):
+            StateSpec(Factorial(), 3, complex(1.2711610061536462e308, 1.2711610061536464e308))
+
+    @given(_SEQS, st.sampled_from([0, 1, 6, 40, INFINITE]),
+           st.one_of(st.floats(), st.builds(complex, st.floats(), st.floats())))
+    @settings(max_examples=200, deadline=None)
+    @example(Factorial(), 3, complex(1.2711610061536462e308, 1.2711610061536464e308))
+    def test_label_gives_a_distribution_or_is_refused(self, seq, k, z):
+        # N itself may overflow (it is inf by design then); p(n) and ln N may not
+        try:
+            spec = StateSpec(seq, k, z)
+            dist = excitation_distribution(spec)
+        except ValueError:
+            return
+        assert np.all(np.isfinite(dist.probs)) and math.isfinite(log_normalization(spec))
+
+    @given(_SEQS, st.one_of(st.integers(), st.floats()))
+    @settings(max_examples=200, deadline=None)
+    def test_any_k_is_a_level_or_refused(self, seq, k):
+        # a k past 1000 but inside the term budget is built and not summed
+        try:
+            spec = StateSpec(seq, k, 1.5)
+        except ValueError:
+            return
+        assert spec.k == INFINITE or 0 <= spec.k < MAX_TERMS
+        if spec.k <= 1000:
+            assert np.all(np.isfinite(excitation_distribution(spec).probs))
+            assert math.isfinite(log_normalization(spec))
+
+
 class TestNormalization:
     def test_canonical_infinite_is_exp(self):
         for z in [0.5, 1.0 + 1.0j, 3.0]:
@@ -266,7 +309,7 @@ class TestBargmann:
         seq, k = MLGamma(0.5, 0.5), 4
         phi = FockVector(np.eye(k + 1)[2])
         zbar = 1.3 - 0.4j
-        assert bargmann_poly(phi, seq, k, zbar) == pytest.approx(
+        assert bargmann_poly(phi, seq, zbar) == pytest.approx(
             zbar ** 2 / math.sqrt(seq.g(2)), rel=1e-13)
 
     def test_linearity(self):
@@ -276,9 +319,9 @@ class TestBargmann:
         f2 = FockVector(rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1))
         mix = FockVector(2.0 * f1.coeffs - 1.5j * f2.coeffs)
         zbar = 0.7 + 0.2j
-        assert bargmann_poly(mix, seq, k, zbar) == pytest.approx(
-            2.0 * bargmann_poly(f1, seq, k, zbar)
-            - 1.5j * bargmann_poly(f2, seq, k, zbar), rel=1e-12)
+        assert bargmann_poly(mix, seq, zbar) == pytest.approx(
+            2.0 * bargmann_poly(f1, seq, zbar)
+            - 1.5j * bargmann_poly(f2, seq, zbar), rel=1e-12)
 
     def test_inner_product_vacuum_canonical(self):
         # Gaussian measure: pi^-1 int e^{-|z|^2} d^2 z = 1

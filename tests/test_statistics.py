@@ -5,13 +5,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgcs.gseq import (AsymptoticFamily, AsymptoticTerm, Factorial, G1, MLGamma, Table,
                        WrightProduct)
 from tgcs.specfun import mittag_leffler, wright
-from tgcs.states import (ExcitationDistribution, INFINITE, StateSpec,
+from tgcs.states import (ExcitationDistribution, INFINITE, MAX_TERMS, StateSpec,
                          excitation_distribution, random_state_spec)
 from tgcs.statistics import (Regime, SmallLabelSign, UndefinedAtOriginError,
                              correlation_g2, mandel_q,
@@ -138,14 +138,15 @@ class TestSmallLabelSign:
             q_small_label_sign(Factorial(), 1)
 
 
-@pytest.mark.parametrize("k", [2.5, math.nan])
+@pytest.mark.parametrize("k", [2.5, math.nan, MAX_TERMS, 10 ** 12])
 @pytest.mark.parametrize("helper", [
     lambda k: mandel_q_closed_form(Factorial(), k, 1.0),
     lambda k: q_large_label_approx(Factorial(), k, 2.0),
     lambda k: q_small_label_sign(Factorial(), k),
 ], ids=["mandel_q_closed_form", "q_large_label_approx", "q_small_label_sign"])
 def test_helpers_refuse_a_k_that_is_no_truncation_level(helper, k):
-    # 2.5 used to be read as 3 (or g(2.5)), NaN to pass every size check
+    # 2.5 used to be read as 3 (or g(2.5)), NaN to pass every size check; a k past
+    # the term budget used to reach numpy's allocation (7 TiB at 10^12)
     with pytest.raises(ValueError, match="k must be"):
         helper(k)
 
@@ -265,7 +266,8 @@ class TestProbabilityAsymptotics:
 
     @pytest.mark.parametrize("c, nu, w, rho, l", [
         (1.0, 0.0, 1.0, 1.0, 0), (2.0, 0.5, 1.0, 1.5, 0), (0.7, -0.5, 2.0, 0.8, 0),
-        (1.0, 0.0, 1.0, 1.0, 1), (1.0, 0.5, 1.0, 1.5, 1), (1.0, -0.5, 1.0, 0.8, 2)])
+        (1.0, 0.0, 1.0, 1.0, 1), (1.0, 0.5, 1.0, 1.5, 1), (1.0, -0.5, 1.0, 0.8, 2),
+        (1.0, 0.5, 2.0, 1.5, 1), (1.0, -0.5, 0.7, 0.8, 2)])
     def test_family_tends_to_its_exact_mellin_sequence(self, c, nu, w, rho, l):
         # f = c u^-nu e^(-w u^rho) ln^l u has, through x = u^rho, the exact
         # g(n) = c rho^-(l+1) d^l/ds^l [w^-s Gamma(s)] at s = (n+1-nu)/rho; at
@@ -301,7 +303,8 @@ class TestProbabilityAsymptotics:
 def reference_p_asymptotic(kind, n, u, norm):
     """The four large-n forms, one per kind, as written when each kind had its
     own parameter record (G1's with the ln rho of its 1/rho prefactor), the
-    family's leading term in log space up to the final exp."""
+    family's leading term in log space up to the final exp, its ln^l taken of
+    n/(rho w)."""
     log_u = math.log(u)
     two_pi = 2.0 * math.pi
     if isinstance(kind, MLGamma):
@@ -327,7 +330,7 @@ def reference_p_asymptotic(kind, n, u, norm):
                  + (-e + 0.5) * math.log(x) - 0.5 * math.log(two_pi) - math.log(t.c)
                  - math.log(norm))
         if t.l > 0:
-            log_p -= t.l * math.log(math.log(x))
+            log_p -= t.l * math.log(math.log(x / t.w))
     return math.exp(log_p)
 
 
@@ -350,6 +353,114 @@ def _outcome(f, *args):
 @settings(max_examples=300, deadline=None)
 def test_p_asymptotic_takes_the_sequence_itself(kind, n, u, norm):
     # the sequence (or the weight's asymptotic family) is the parameter record:
-    # the same values, bit for bit
-    assert _outcome(p_asymptotic, kind, n, u, norm) == _outcome(
-        reference_p_asymptotic, kind, n, u, norm)
+    # the same values, bit for bit; a p(n) past the double range is refused
+    expected = _outcome(reference_p_asymptotic, kind, n, u, norm)
+    assert _outcome(p_asymptotic, kind, n, u, norm) == (
+        ValueError if expected is OverflowError else expected)
+
+
+class TestLabelRefusals:
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_closed_forms_refuse_a_non_finite_label(self, u):
+        # NaN used to come back as nan, inf as nan after a RuntimeWarning
+        with pytest.raises(ValueError, match=r"\|z\|\^2 must be a finite number"):
+            mandel_q_closed_form(Factorial(), 3, u)
+        with pytest.raises(ValueError, match=r"\|z\|\^2 must be a finite number"):
+            mandel_q2_closed_form(Factorial(), u)
+
+    @pytest.mark.parametrize("seq", [Factorial(), MLGamma(0.5, 0.5), WrightProduct(0.5, 0.5)])
+    @pytest.mark.parametrize("u", [1e155, 1e200, 1e308])
+    def test_q2_rational_form_past_its_overflow(self, seq, u):
+        # g1 g2 + g0 g2 u + g0 g1 u^2 overflows: the rational form gave +1
+        # (super-poissonian) or nan where Q_2 is about -1
+        q = mandel_q2_closed_form(seq, u)
+        assert q == pytest.approx(mandel_q_closed_form(seq, 2, u), abs=1e-12)
+        assert q == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, 1.4e154, complex(0.0, 1e200),
+                                   complex(1.2711610061536462e308, 1.2711610061536464e308)])
+    def test_large_label_refuses_a_non_finite_u(self, z):
+        # nan, -1.0, and an OverflowError from abs(z) ** 2
+        with pytest.raises(ValueError, match=r"\|z\|\^2 must be a finite number"):
+            q_large_label_approx(Factorial(), 3, z)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -1.0])
+    def test_p_asymptotic_refuses_a_bad_label(self, u):
+        with pytest.raises(ValueError, match=r"\|z\|\^2 must be"):
+            p_asymptotic(MLGamma(1.0, 1.0), 20, u, 1.0)
+
+    def test_p_asymptotic_at_the_origin(self):
+        with pytest.raises(UndefinedAtOriginError):
+            p_asymptotic(MLGamma(1.0, 1.0), 20, 0.0, 1.0)
+
+    @pytest.mark.parametrize("norm", [0.0, -1.0, math.nan, math.inf])
+    def test_p_asymptotic_refuses_a_bad_norm(self, norm):
+        with pytest.raises(ValueError, match="norm must be"):
+            p_asymptotic(MLGamma(1.0, 1.0), 20, 1.0, norm)
+
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 20.5])
+    def test_p_asymptotic_refuses_a_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="integer n"):
+            p_asymptotic(MLGamma(1.0, 1.0), n, 1.0, 1.0)
+
+    def test_p_asymptotic_refuses_a_probability_past_the_double_range(self):
+        # norm = 2 is no normalization at u = 1e150; this used to be an OverflowError
+        with pytest.raises(ValueError, match="double range"):
+            p_asymptotic(MLGamma(1.0, 1.0), 20, 1e150, 2.0)
+
+
+_SEQS = st.sampled_from([Factorial(), MLGamma(0.5, 0.5), WrightProduct(0.5, 0.5),
+                         G1(0.3, 1.5, 2.0), MLGamma(0.1, 0.1)])
+# a k is drawn from all ints and floats; one past _K_EVAL but inside the term
+# budget is accepted and not evaluated, to bound the run time
+_K = st.one_of(st.integers(), st.floats())
+_K_EVAL = 1000
+_KINDS_ONE = st.sampled_from([
+    MLGamma(0.5, 0.5), WrightProduct(0.5, 0.5), G1(0.3, 1.5, 2.0),
+    AsymptoticFamily((AsymptoticTerm(1.0, 0.5, 2.0, 1.5, 1),)),
+    AsymptoticFamily((AsymptoticTerm(0.5, -0.5, 0.7, 0.8, 0),))])
+
+
+def _finite_or_refused(f, *args):
+    """f(*args) is finite, or refused with ValueError; a warning fails the test
+    (the suite turns warnings into errors)."""
+    try:
+        value = f(*args)
+    except ValueError:
+        return
+    assert math.isfinite(value), (args, value)
+
+
+class TestLabelSweep:
+    @given(_SEQS, _K, st.floats())
+    @settings(max_examples=200, deadline=None)
+    def test_mandel_q_closed_form(self, seq, k, u):
+        if not _K_EVAL < k < MAX_TERMS:
+            _finite_or_refused(mandel_q_closed_form, seq, k, u)
+
+    @given(_SEQS, st.floats())
+    @settings(max_examples=200, deadline=None)
+    @example(Factorial(), 1e155)
+    def test_mandel_q2_closed_form(self, seq, u):
+        _finite_or_refused(mandel_q2_closed_form, seq, u)
+
+    @given(_SEQS, _K, st.one_of(st.floats(), st.builds(complex, st.floats(), st.floats())))
+    @settings(max_examples=200, deadline=None)
+    def test_q_large_label_approx(self, seq, k, z):
+        if not _K_EVAL < k < MAX_TERMS:
+            _finite_or_refused(q_large_label_approx, seq, k, z)
+
+    @given(_KINDS_ONE, st.floats())
+    @settings(max_examples=200, deadline=None)
+    def test_p_asymptotic_over_u(self, kind, u):
+        _finite_or_refused(p_asymptotic, kind, 40, u, 10.0)
+
+    @given(_KINDS_ONE, st.floats())
+    @settings(max_examples=200, deadline=None)
+    def test_p_asymptotic_over_norm(self, kind, norm):
+        _finite_or_refused(p_asymptotic, kind, 40, 3.0, norm)
+
+    @given(_KINDS_ONE, st.one_of(st.integers(), st.floats()))
+    @settings(max_examples=200, deadline=None)
+    def test_p_asymptotic_over_n(self, kind, n):
+        _finite_or_refused(p_asymptotic, kind, n, 3.0, 10.0)
