@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,8 @@ from .states import (INFINITE, ExcitationDistribution, StateSpec, _modulus_squar
                      _truncation_level, excitation_distribution)
 
 BOUNDARY_TOL = 1e-12
+_LN_MAX = math.log(sys.float_info.max)
+_LN_MIN = math.log(sys.float_info.min)
 
 
 class UndefinedAtOriginError(ValueError):
@@ -115,32 +118,39 @@ def mandel_q_closed_form(seq: GSequence, k: int, u: float) -> float:
 def mandel_q2_closed_form(seq: GSequence, u: float) -> float:
     """The explicit k = 2 rational form of Q_2(u)."""
     _label(u)
-    g0, g1, g2 = seq.g(0), seq.g(1), seq.g(2)
-    d = g1 * g2 + g0 * g2 * u + g0 * g1 * u * u
-    if not math.isfinite(d):  # u past about 1e154: the log-space form does not overflow
-        return mandel_q_closed_form(seq, 2, u)
-    a = 2.0 * g1 / (g2 + 2.0 * g1 * u)
-    b = g0 * (g2 + 2.0 * g1 * u) / d
-    return u * (a - b)
+    log_g = seq.log_g_array(np.arange(3))
+    # past the double range of g(0..2), or of the denominator (u past about
+    # 1e154 for g of order 1), the log-space form does not overflow
+    if np.all((_LN_MIN < log_g) & (log_g < _LN_MAX)):
+        g0, g1, g2 = (math.exp(x) for x in log_g)
+        d = g1 * g2 + g0 * g2 * u + g0 * g1 * u * u
+        if 0.0 < d < math.inf:
+            a = 2.0 * g1 / (g2 + 2.0 * g1 * u)
+            b = g0 * (g2 + 2.0 * g1 * u) / d
+            return u * (a - b)
+    return mandel_q_closed_form(seq, 2, u)
 
 
 def q_small_label_sign(seq: GSequence, k) -> SmallLabelSign:
-    """Sign of Q_k as |z| -> 0+, from the g(0..3) ratio conditions."""
+    """Sign of Q_k as |z| -> 0+, from the g(0..3) ratio conditions.
+
+    The ratios r2 = g0 g2 / g1^2 and r3 = g0 g3 / (g1 g2) are read as sums of
+    ln g, so that g itself may lie past the double range."""
     if _truncation_level(k) < 2:
         raise ValueError("the small-label sign conditions require k >= 2")
-    g0, g1, g2 = seq.g(0), seq.g(1), seq.g(2)
-    r2 = g0 * g2 / (g1 * g1)
-    if r2 < 2.0 - BOUNDARY_TOL:
+    l0, l1, l2 = seq.log_g_array(np.arange(3))
+    ln_r2 = l0 + l2 - 2.0 * l1
+    if ln_r2 < math.log(2.0 - BOUNDARY_TOL):
         return SmallLabelSign.POSITIVE
-    if r2 > 2.0 + BOUNDARY_TOL:
+    if ln_r2 > math.log(2.0 + BOUNDARY_TOL):
         return SmallLabelSign.NEGATIVE
     # boundary ratio = 2
     if k == 2:
         return SmallLabelSign.NEGATIVE
-    r3 = g0 * seq.g(3) / (g1 * g2)
-    if r3 < 3.0 - BOUNDARY_TOL:
+    ln_r3 = l0 + seq.log_g(3) - l1 - l2
+    if ln_r3 < math.log(3.0 - BOUNDARY_TOL):
         return SmallLabelSign.POSITIVE
-    if r3 > 3.0 + BOUNDARY_TOL:
+    if ln_r3 > math.log(3.0 + BOUNDARY_TOL):
         return SmallLabelSign.NEGATIVE
     if k == 3:
         return SmallLabelSign.NEGATIVE
@@ -148,12 +158,19 @@ def q_small_label_sign(seq: GSequence, k) -> SmallLabelSign:
 
 
 def q2_zero_crossing(seq: GSequence) -> float | None:
-    """zeta_0, the |z| where Q_2 changes sign; None unless Q_2 starts positive."""
+    """zeta_0, the |z| where Q_2 changes sign; None unless Q_2 starts positive.
+
+    zeta_0^2 = g2/(2 g1) (sqrt(4/r2 - 1) - 1), r2 = g0 g2 / g1^2 < 2, in logs."""
     if q_small_label_sign(seq, 2) is not SmallLabelSign.POSITIVE:
         return None
-    g0, g1, g2 = seq.g(0), seq.g(1), seq.g(2)
-    inner = math.sqrt(4.0 * g1 * g1 / (g0 * g2) - 1.0) - 1.0
-    return math.sqrt(g2 / (2.0 * g1) * inner)
+    l0, l1, l2 = seq.log_g_array(np.arange(3))
+    ln_r2 = l0 + l2 - 2.0 * l1
+    half = 0.5 * (math.log(4.0 - math.exp(ln_r2)) - ln_r2)  # ln sqrt(4/r2 - 1) > 0
+    ln_inner = half + math.log(-math.expm1(-half))       # ln(e^half - 1)
+    ln_zeta = 0.5 * (l2 - l1 - math.log(2.0) + ln_inner)
+    if ln_zeta >= _LN_MAX:
+        raise ValueError(f"zeta_0 = e^{ln_zeta:.6g} is past the double range")
+    return math.exp(ln_zeta)
 
 
 def q_large_label_approx(seq: GSequence, k: int, z: complex) -> float:
@@ -164,7 +181,10 @@ def q_large_label_approx(seq: GSequence, k: int, z: complex) -> float:
     u = _modulus_squared(z)
     if u < 1.0:
         raise ValueError("large-label approximation requires |z| >= 1")
-    ratio = math.exp(seq.log_g(k) - seq.log_g(k - 1)) / k
+    ln_ratio = seq.log_g(k) - seq.log_g(k - 1)
+    if ln_ratio >= _LN_MAX:
+        raise ValueError(f"g(k)/g(k-1) = e^{ln_ratio:.6g} is past the double range")
+    ratio = math.exp(ln_ratio) / k
     return -1.0 + ratio / u
 
 

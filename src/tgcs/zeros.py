@@ -12,6 +12,7 @@ from .specfun import _scaled_exp
 from .states import StateSpec
 
 MAX_DEGREE = 100
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class RootFindingError(RuntimeError):
@@ -32,7 +33,13 @@ def polynomial_roots(seq: GSequence, k: int) -> RootSet:
     The raw coefficients 1/g(n) span many orders of magnitude for Gamma-type
     sequences; substituting z = s*y with ln s = (ln g(k) - ln g(0))/k balances
     them before the eigenvalue solve.  A Newton polish runs in the scaled
-    variable.
+    variable, for at most 50 steps.  It stops once the largest relative step
+    is below 1e-15, or is below sqrt(eps) and no smaller than the step before:
+    a converging Newton step that small shrinks quadratically, so one that
+    does not is the rounding noise of evaluating p in double.  Above sqrt(eps)
+    the steps of ill-conditioned roots are not yet monotone, so there only the
+    1e-15 test or the cap ends the polish.  An estimate where p'(y) = 0, as
+    at an exact double root, takes no step instead of dividing 0 by 0.
     """
     if k < 1:
         raise ValueError("polynomial_roots requires k >= 1")
@@ -45,13 +52,16 @@ def polynomial_roots(seq: GSequence, k: int) -> RootSet:
     roots_y = np.roots(coeff[::-1])
 
     dcoeff = coeff[1:] * np.arange(1, k + 1)
+    prev = math.inf
     for _ in range(50):
         p = np.polyval(coeff[::-1], roots_y)
         dp = np.polyval(dcoeff[::-1], roots_y)
-        step = p / dp
+        step = np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
         roots_y = roots_y - step
-        if np.max(np.abs(step) / np.maximum(np.abs(roots_y), 1e-300)) < 1e-15:
+        size = np.max(np.abs(step) / np.maximum(np.abs(roots_y), 1e-300))
+        if size < 1e-15 or _SQRT_EPS > size >= prev:
             break
+        prev = size
 
     residuals = np.abs(np.polyval(coeff[::-1], roots_y)) / np.max(coeff)
     roots = roots_y * math.exp(log_s)

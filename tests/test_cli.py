@@ -325,6 +325,15 @@ class TestZeros:
             assert float(r["re"]) == pytest.approx(-1.0, abs=1e-12)
             assert abs(float(r["im"])) == pytest.approx(1.0, abs=1e-12)
 
+    def test_double_root_has_no_nan_cell(self, tmp_path, capsys):
+        # (1 + z)^2: the Newton polish divided 0 by 0 and printed nan,0.0,nan
+        cfg = write_config(tmp_path, "cfg.json", {
+            "sequence": {"variant": "table", "values": [1.0, 0.5, 1.0]}, "k": 2})
+        assert main(["zeros", "--config", cfg]) == 0
+        text = capsys.readouterr().out
+        assert "nan" not in text.lower()
+        assert len(text.splitlines()) == 3
+
 
 class TestMoments:
     def test_ml_weight(self, tmp_path):

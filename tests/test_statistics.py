@@ -87,6 +87,14 @@ class TestMandelQ:
                 b = mandel_q_closed_form(seq, 2, u)
                 assert a == pytest.approx(b, abs=1e-12 * max(1.0, abs(a)))
 
+    @pytest.mark.parametrize("seq", [MLGamma(200.0, 1.0), MLGamma(0.01, 300.0)])
+    def test_k2_rational_form_past_the_range_of_g(self, seq):
+        # g(1) = Gamma(201), and g(0) = Gamma(300), are past the double range:
+        # this was a bare OverflowError from GSequence.g
+        for u in [0.1, 1.0, 10.0]:
+            assert mandel_q2_closed_form(seq, u) == pytest.approx(
+                mandel_q_closed_form(seq, 2, u), abs=1e-12)
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_k1_always_negative(self, seed):
@@ -137,6 +145,15 @@ class TestSmallLabelSign:
         with pytest.raises(ValueError):
             q_small_label_sign(Factorial(), 1)
 
+    def test_g_past_the_double_range(self):
+        # Gamma(201) and Gamma(300) overflow GSequence.g: a bare OverflowError
+        # before the ratios were read as sums of ln g
+        for k in [2, 5]:
+            assert q_small_label_sign(MLGamma(200.0, 1.0), k) is SmallLabelSign.NEGATIVE
+        seq = MLGamma(0.01, 300.0)
+        assert q_small_label_sign(seq, 6) is SmallLabelSign.POSITIVE
+        assert mandel_q(StateSpec(seq, 6, 1e-3)).q > 0
+
 
 @pytest.mark.parametrize("k", [2.5, math.nan, MAX_TERMS, 10 ** 12])
 @pytest.mark.parametrize("helper", [
@@ -176,6 +193,19 @@ class TestZeroCrossing:
                          zeta / 10, zeta * 10, xtol=1e-13)
             assert abs(zeta - ref) <= 1e-9
 
+    def test_g_past_the_double_range(self):
+        from scipy.optimize import brentq
+        assert q2_zero_crossing(MLGamma(200.0, 1.0)) is None
+        # g(0) = Gamma(300) overflows, zeta_0 does not
+        seq = MLGamma(0.01, 300.0)
+        zeta = q2_zero_crossing(seq)
+        ref = brentq(lambda s: mandel_q_closed_form(seq, 2, s * s),
+                     zeta / 10, zeta * 10, xtol=1e-13)
+        assert abs(zeta - ref) <= 1e-9
+        # ln zeta_0 is about 1380 here: refused, where it was an OverflowError
+        with pytest.raises(ValueError, match="past the double range"):
+            q2_zero_crossing(MLGamma(200.0, 1e6))
+
 
 class TestLargeLabel:
     def test_factorial_k2_example(self):
@@ -194,6 +224,11 @@ class TestLargeLabel:
             q_large_label_approx(Factorial(), 1, 10.0)
         with pytest.raises(ValueError):
             q_large_label_approx(Factorial(), 3, 0.5)
+
+    def test_ratio_past_the_double_range_is_refused(self):
+        # g(2)/g(1) = Gamma(401)/Gamma(201) is about e^1137: an OverflowError before
+        with pytest.raises(ValueError, match="past the double range"):
+            q_large_label_approx(MLGamma(200.0, 1.0), 2, 3.0)
 
 
 class TestCorrelation:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tgcs.gseq import Factorial, G1, MLGamma, WrightProduct
+from tgcs.gseq import Factorial, G1, MLGamma, Table, WrightProduct
 from tgcs.states import overlap
 from tgcs.zeros import (MAX_DEGREE, RootFindingError, orthogonal_pair,
                         polynomial_roots)
@@ -26,10 +26,36 @@ class TestPolynomialRoots:
             [-1.0 - 1.0j, -1.0 + 1.0j], abs=1e-12)
 
     @pytest.mark.parametrize("seq", ALL_VARIANTS)
-    @pytest.mark.parametrize("k", [5, 10, 20])
-    def test_residuals_small(self, seq, k):
+    @pytest.mark.parametrize("k", [5, 10, 20, 30, 36])
+    def test_residuals_small(self, seq, k, request):
+        if isinstance(seq, WrightProduct) and k >= 30:
+            request.applymarker(pytest.mark.xfail(strict=True, reason=(
+                "ill-conditioned: polyval's double floor is above 1e-9 here "
+                "(1.5e-8 at k = 30, 7.9e-7 at k = 36; 8.8e-9 and 7.9e-7 after "
+                "50 polish steps)")))
         rs = polynomial_roots(seq, k)
         assert len(rs.roots) == k
+        assert float(np.max(rs.residuals)) <= 1e-9
+
+    @pytest.mark.parametrize("seq,k", [(s, k) for s in (Factorial(), MLGamma(0.5, 0.5),
+                                                         G1(1.0, 1.5, 0.8))
+                                        for k in (20, 30, 36)]
+                             + [(WrightProduct(0.5, 0.5), k) for k in (20, 30)])
+    def test_polish_stops_at_the_rounding_floor(self, seq, k, monkeypatch):
+        # two polyval calls per Newton step and one for the residuals: at
+        # most 6 steps, where running on in rounding noise takes all 50
+        calls = []
+        polyval = np.polyval
+        monkeypatch.setattr(np, "polyval",
+                            lambda c, x: calls.append(1) or polyval(c, x))
+        polynomial_roots(seq, k)
+        assert len(calls) <= 13
+
+    def test_double_root_is_finite(self):
+        # 1 + 2z + z^2 = (1 + z)^2: p = p' = 0 at the start, which divided 0 by 0
+        rs = polynomial_roots(Table((1.0, 0.5, 1.0)), 2)
+        assert np.all(np.isfinite(rs.roots))
+        assert rs.roots == pytest.approx([-1.0, -1.0], abs=1e-7)
         assert float(np.max(rs.residuals)) <= 1e-9
 
     @pytest.mark.parametrize("seq", ALL_VARIANTS)
