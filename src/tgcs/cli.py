@@ -95,10 +95,13 @@ def _grid(spec: dict[str, Any], name: str) -> np.ndarray:
     raise ConfigError(f"unknown grid scale {scale!r}")
 
 
-def _labels(seq: GSequence, k, zgrid: np.ndarray) -> list[float]:
-    """u = |z|^2 at each label; what the spec at the largest refuses, the grid does."""
+def _label_rows(seq: GSequence, k, zgrid: np.ndarray):
+    """states._shifted_rows at u = |z|^2 of each label, from n = 0 and one ln g table;
+    what the spec at the largest label refuses, the grid does."""
     _spec(seq, k, complex(zgrid[np.argmax(np.abs(zgrid))]))
-    return [abs(r) ** 2 for r in zgrid.tolist()]
+    u = [abs(r) ** 2 for r in zgrid.tolist()]
+    top = math.log(max(u)) if max(u) else -math.inf
+    return states._shifted_rows(states._log_g_table(seq, k, top), 0, u)
 
 
 def _label_moments(seq: GSequence, k, zgrid: np.ndarray, falling: bool):
@@ -107,7 +110,7 @@ def _label_moments(seq: GSequence, k, zgrid: np.ndarray, falling: bool):
         raise ConfigError("Q and g2 require k >= 1: at k = 0 the mean count is 0")
     mean, m = (np.concatenate(x) for x in zip(*(
         statistics._moments(w / total, falling)
-        for _, w, total in states._shifted_rows(seq, k, _labels(seq, k, zgrid)))))
+        for _, w, total in _label_rows(seq, k, zgrid))))
     keep = mean > 0
     return zgrid[keep].tolist(), mean[keep], m[keep]
 
@@ -166,8 +169,8 @@ def cmd_probs(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     n_lo, n_hi = (_count(n, "n_range") for n in n_range)
     if not n_lo <= n_hi <= k:
         raise ConfigError(f"n_range must satisfy 0 <= lo <= hi <= k = {k}, got {n_range}")
-    blocks = states._shifted_rows(seq, k, _labels(seq, k, zgrid))
-    probs = np.concatenate([w / total for _, w, total in blocks])[:, n_lo:n_hi + 1]
+    probs = np.concatenate([w / total for _, w, total in _label_rows(seq, k, zgrid)])
+    probs = probs[:, n_lo:n_hi + 1]
     runs = [((r,), enumerate(row, n_lo)) for r, row in zip(zgrid.tolist(), probs.tolist())]
     _write_rows(["abs_z", "n", "p"], runs, out, fmt)
     return 0

@@ -10,7 +10,8 @@ import numpy as np
 from . import specfun
 from .gseq import (AuxFunction, Factorial, GSequence, MLGamma, MomentReport, WrightProduct,
                    _moment_report)
-from .states import INFINITE, _check_term_budget, _log_term_rows, _truncation_level
+from .states import (INFINITE, _check_term_budget, _log_g_table, _log_term_rows,
+                     _truncation_level)
 
 
 def _window(c: float, p: float, s_left: float, s_right: float,
@@ -55,7 +56,7 @@ class WeightFunction:
         if self.k == INFINITE:
             _check_term_budget(self.seq, math.exp(top))
         return np.concatenate([specfun._log_sum_exp(lt) for lt in _log_term_rows(
-            self.seq, self.k, flat, top)]).reshape(np.shape(t))[()]
+            _log_g_table(self.seq, self.k, top), 0, flat)]).reshape(np.shape(t))[()]
 
     def eval(self, u):
         """U(u) for u > 0, a float or an array; ValueError if any u is not finite and > 0."""

@@ -248,9 +248,11 @@ def _kratzel(lam: float, mu: float, log_u, tol: float) -> np.ndarray:
     slope = a + A - B / lam
     # the window is at most 700 (700 lam) wide on each side: expm1 stays finite
     big = np.log(50.0 + A + B + 700.0 * max(1.0, lam) * abs(a))
-    with np.errstate(divide="ignore"):  # A or B underflowed: no quadratic bound
+    root = np.sqrt(slope ** 2 + 100.0 * B / lam ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # A or B underflowed: no quadratic bound
         left = (np.sqrt(slope ** 2 + 100.0 * A) - slope) / A
-        right = (np.sqrt(slope ** 2 + 100.0 * B / lam ** 2) + slope) * lam ** 2 / B
+        # the same value, without the cancellation of root + slope where slope < 0
+        right = np.where(slope < 0, 100.0 / (root - slope), (root + slope) * lam ** 2 / B)
     lo = np.maximum.reduce([peak - left, log_u - big, peak - 700.0])
     hi = np.minimum.reduce([peak + right, lam * big, peak + 700.0 * lam])
     integral = _trapezoid(

@@ -62,7 +62,7 @@ class StateSpec:
             if isinstance(self.seq, Table):
                 raise DivergenceError("Table sequences have finite domain; k must be finite")
             if self.u != 0:
-                _check_term_budget(self.seq, self.u)
+                object.__setattr__(self, "_search", _first_round(self.seq, self.u))
         elif isinstance(self.seq, Table) and self.k >= len(self.seq.values):
             raise ValueError(f"k = {self.k} runs past the end of the Table "
                              f"({len(self.seq.values)} values)")
@@ -74,8 +74,14 @@ class StateSpec:
 
     @cached_property  # kept in the instance __dict__, outside eq, hash and repr
     def _row(self) -> tuple[np.ndarray, float, float]:
-        """(p(0..k) read-only, N, ln N) from _shifted_rows at the spec's label, once."""
-        (m, w, total), = _shifted_rows(self.seq, self.k, [self.u])
+        """(p(0..k) read-only, N, ln N) from _shifted_rows at the spec's label, once;
+        at k = inf from the level search that construction began (_first_round)."""
+        if self.k == INFINITE and self.u != 0:
+            search = self.__dict__.pop("_search")  # spent once the row is built
+            n0, log_g = search.n0, search.table()
+        else:
+            n0, log_g = 0, _log_g_table(self.seq, self.k, -math.inf)
+        (m, w, total), = _shifted_rows(log_g, n0, [self.u])
         m, total = float(m[0, 0]), float(total[0, 0])
         probs = w[0] / total
         probs.flags.writeable = False
@@ -100,15 +106,32 @@ class FockVector:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
 
 
-def _check_term_budget(seq: GSequence, u: float) -> None:
-    """Refuse a k = inf series that _adaptive_log_g cannot sum in MAX_TERMS terms.
+# exp(x) is exactly 0.0 below x = -745.14: a term this far below the largest
+# adds nothing to a row
+_LOG_UNDERFLOW = -746.0
+_FIRST_ROUND = 64  # terms of the level search's first round
+# rounds double up to here, then grow by a quarter: a round costs about as much
+# as 140 more ln g values, and past this a smaller round that overshoots the
+# level wastes less than its extra rounds cost
+_DOUBLING = 2048
+# the budget probe's geometric grid of n, up to the last term MAX_TERMS allows
+_PROBE_GRID = np.concatenate(([0], 2 ** np.arange((MAX_TERMS - 1).bit_length()),
+                              [MAX_TERMS - 2, MAX_TERMS - 1]))
+
+
+def _check_term_budget(seq: GSequence, u: float) -> int:
+    """Refuse a k = inf series whose _LevelSearch would not end in MAX_TERMS terms;
+    else return n0, where the search can start: every term before it is 0.0 in
+    the row.
 
     The terms u^n / g(n) of every parametric variant are log-concave in n
     (ln g is convex), so once the search's stopping rule holds it holds at
     every later n: the search succeeds exactly when the rule holds at
     n = MAX_TERMS - 1.  The largest term it compares with is first bounded
     below on a geometric grid of n, and only when that does not settle the
-    rule found by bisection on the increments.
+    rule found by bisection on the increments.  The terms rise up to their
+    peak, so n0 is the last grid point left of the grid's largest term that
+    lies more than -_LOG_UNDERFLOW below it (0 if none does).
     """
     log_u = math.log(u)
 
@@ -117,79 +140,141 @@ def _check_term_budget(seq: GSequence, u: float) -> None:
         return n * log_u - seq.log_g_array(n)
 
     last = MAX_TERMS - 1
-    lt = log_terms(np.concatenate(([0], 2 ** np.arange(last.bit_length()), [last - 1, last])))
+    lt = log_terms(_PROBE_GRID)
+    top = int(np.argmax(lt))
+    # the terms left of the largest rise, so those far below it come first
+    below = np.count_nonzero(lt[:top] < lt[top] + _LOG_UNDERFLOW)
+    n0 = int(_PROBE_GRID[below - 1]) if below else 0
     ratio = lt[-1] - lt[-2]
     if ratio < 0:
         limit = lt[-1] - np.log1p(-np.exp(ratio)) - _LOG_TAIL_TOL
-        if lt.max() > limit:
-            return
+        if lt[top] > limit:
+            return n0
         lo, hi = 0, last  # the first falling n lies in (lo, hi]; the peak is just before it
         while hi - lo > 1:
             mid = (lo + hi) // 2
             a, b = log_terms([mid - 1, mid])
             lo, hi = (lo, mid) if b < a else (mid, hi)
         if log_terms([hi - 1])[0] > limit:
-            return
+            return n0
     raise DivergenceError(
         f"normalization series needs more than {MAX_TERMS} terms for u={u:g}")
 
 
-def _adaptive_log_g(seq: GSequence, log_u: float) -> np.ndarray:
-    """ln g(n) for n = 0..k, k the first level where the tail of the terms u^n / g(n)
+class _LevelSearch:
+    """The level of a k = inf sum: the first n where the tail of the terms u^n / g(n)
     is below _LOG_TAIL_TOL of the largest, the tail past a decreasing term bounded
-    by the geometric series of its ratio to the previous one.  The search doubles
-    the number of terms from 64, computing only the new half each round, up to
-    MAX_TERMS."""
-    log_g, best, prev = [], -math.inf, math.nan  # no term before n = 0: the rule applies from 1
-    start, size = 0, 64
-    while size <= MAX_TERMS:
-        n = np.arange(start, size)
-        log_g.append(seq.log_g_array(n))
-        lt = np.concatenate(([prev], n * log_u - log_g[-1]))  # from n = start - 1
-        ratio = lt[1:] - lt[:-1]
-        lt = lt[1:]
-        # the largest term so far, at each n
-        best_n = np.maximum.accumulate(np.maximum(lt, best))
-        falling = np.flatnonzero(ratio < 0)
-        tail = lt[falling] - np.log1p(-np.exp(ratio[falling]))
-        done = falling[tail < _LOG_TAIL_TOL + best_n[falling]]
-        if done.size:
-            return np.concatenate(log_g)[:start + done[0] + 1]
-        best, prev = float(best_n[-1]), float(lt[-1])
-        start, size = size, 2 * size
-    raise DivergenceError(
-        f"no effective truncation level within {MAX_TERMS} terms")
+    by the geometric series of its ratio to the previous one.
+
+    ln g is computed from n0, every term before which lies below the one at n0, a
+    round at a time, so that the search can stop after a round and go on later.
+    Each round doubles the number of terms, from _FIRST_ROUND up to _DOUBLING and
+    by a quarter past it.  Past the peak the ratio of consecutive terms never
+    rises (ln g is convex), so the tail bound falls at least linearly, and a
+    round ends where that already makes the rule hold.
+    """
+
+    def __init__(self, seq: GSequence, log_u: float, n0: int = 0):
+        self.seq, self.log_u, self.n0, self.start = seq, log_u, n0, n0
+        self.chunks: list[np.ndarray] = []
+        self.log_g: np.ndarray | None = None  # ln g(n0..level), once found
+        # the largest term so far and the last one (none before n0: the rule applies
+        # after it); the last ratio and tail bound, once they fall
+        self.best, self.prev, self.slope, self.reach = -math.inf, math.nan, math.nan, math.nan
+
+    def run(self, end: int) -> bool:
+        """Go on up to n = end - 1 at most; True once the level is found."""
+        seq, log_u = self.seq, self.log_u
+        while self.log_g is None and self.start < end:
+            start = self.start
+            stop = min(max(2 * start if start < _DOUBLING else start + start // 4,
+                           _FIRST_ROUND), end)
+            if self.slope < 0:  # the rule holds by n = start + gap
+                gap = (self.reach - _LOG_TAIL_TOL - self.best) / -self.slope
+                if gap < stop - start - 1:
+                    stop = start + 1 + int(gap)
+            n = np.arange(start, stop)
+            self.chunks.append(seq.log_g_array(n))
+            lt = np.concatenate(([self.prev], n * log_u - self.chunks[-1]))  # from start - 1
+            ratio = lt[1:] - lt[:-1]
+            lt = lt[1:]
+            falling = np.flatnonzero(ratio < 0)
+            self.prev = float(lt[-1])
+            if not falling.size:  # the terms rise: the last is the largest
+                self.best = max(self.best, self.prev)
+            else:  # the rule holds only where the terms fall
+                best_n = np.maximum.accumulate(np.maximum(lt, self.best))
+                tail = lt[falling] - np.log1p(-np.exp(ratio[falling]))
+                done = falling[tail < _LOG_TAIL_TOL + best_n[falling]]
+                if done.size:
+                    self.log_g = np.concatenate(self.chunks)[:start - self.n0 + done[0] + 1]
+                    self.chunks = []
+                if falling[-1] == len(lt) - 1:
+                    self.slope, self.reach = float(ratio[-1]), float(tail[-1])
+                self.best = float(best_n[-1])
+            self.start = stop
+        return self.log_g is not None
+
+    def table(self) -> np.ndarray:
+        """ln g(n0..level), searched up to MAX_TERMS terms."""
+        if not self.run(MAX_TERMS):
+            raise DivergenceError(f"no effective truncation level within {MAX_TERMS} terms")
+        return self.log_g
+
+
+def _adaptive_log_g(seq: GSequence, log_u: float) -> np.ndarray:
+    """ln g(n) for n = 0..k, k the level of the terms u^n / g(n) (_LevelSearch)."""
+    return _LevelSearch(seq, log_u).table()
+
+
+def _first_round(seq: GSequence, u: float) -> _LevelSearch:
+    """A k = inf spec's level search as construction leaves it: its first round run,
+    and, unless that settles the series, the term budget checked (DivergenceError)
+    and the search set to go on from the budget's n0 when n0 lies past the round."""
+    search = _LevelSearch(seq, math.log(u))
+    if not search.run(_FIRST_ROUND):
+        n0 = _check_term_budget(seq, u)
+        if n0 > _FIRST_ROUND:
+            search = _LevelSearch(seq, search.log_u, n0)
+    return search
+
+
+def _log_g_table(seq: GSequence, k, top: float) -> np.ndarray:
+    """ln g(0..level) for rows up to ln u = top: k + 1 values, or for k = inf the
+    adaptive level at top, whose term budget the caller has checked; the terms
+    are log-concave in n, so it serves every smaller u too."""
+    if k == INFINITE and top > -math.inf:
+        return _adaptive_log_g(seq, top)
+    return seq.log_g_array(np.arange(1 if k == INFINITE else k + 1))
 
 
 _BLOCK = 1 << 20  # entries of a log-term matrix built at once
 
 
-def _log_term_rows(seq: GSequence, k, log_u: np.ndarray, top: float) -> Iterator[np.ndarray]:
-    """Blocks of rows ln(u^n / g(n)), n = 0..level, at most _BLOCK entries each:
-    one row per entry of log_u = ln u (-inf: u = 0, the Kronecker row), all
-    from one ln g table.  For k = inf the level is the adaptive one at top, the
-    largest ln u, whose term budget the caller has checked (StateSpec does when
-    built); the terms are log-concave in n, so it serves every smaller u too.
-    """
-    log_g = (_adaptive_log_g(seq, top) if k == INFINITE and top > -math.inf
-             else seq.log_g_array(np.arange(1 if k == INFINITE else k + 1)))
-    n = np.arange(1, len(log_g))
+def _log_term_rows(log_g: np.ndarray, n0: int, log_u: np.ndarray) -> Iterator[np.ndarray]:
+    """Blocks of rows ln(u^n / g(n)), n = n0..n0 + len(log_g) - 1, at most _BLOCK
+    entries each: one row per entry of log_u = ln u (-inf: u = 0, the Kronecker
+    row), all from the one ln g table log_g = ln g(n0..)."""
+    n = np.arange(n0, n0 + len(log_g))
+    skip = int(n0 == 0)  # the n = 0 column stays 0: 0 ln u would be nan at u = 0
     step = max(1, _BLOCK // len(log_g))
     for i in range(0, len(log_u), step):
-        # the n = 0 column stays 0: 0 ln u would be nan at u = 0
         rows = np.zeros((min(step, len(log_u) - i), len(log_g)))
-        np.multiply(log_u[i:i + step, None], n, out=rows[:, 1:])
+        np.multiply(log_u[i:i + step, None], n[skip:], out=rows[:, skip:])
         rows -= log_g
         yield rows
 
 
-def _shifted_rows(seq: GSequence, k, u) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _shifted_rows(log_g: np.ndarray, n0: int, u) -> Iterator[tuple[np.ndarray, ...]]:
     """(m, w, sum of w) per row block at the labels u = |z|^2 (ln u by math.log,
-    as the scalar sums take it): each row's largest log term and its terms over it."""
+    as the scalar sums take it), from the ln g table log_g = ln g(n0..): each
+    row's largest log term and its terms over it, for n = 0.. with n0 zeros first."""
     log_u = [math.log(x) if x else -math.inf for x in u]
-    for lt in _log_term_rows(seq, k, np.array(log_u), max(log_u)):
+    for lt in _log_term_rows(log_g, n0, np.array(log_u)):
         m = lt.max(axis=1, keepdims=True)
-        w = np.exp(lt - m)
+        lt -= m
+        w = np.zeros((len(lt), n0 + len(log_g))) if n0 else lt  # exp in place at n0 = 0
+        np.exp(lt, out=w[:, n0:])
         yield m, w, w.sum(axis=1, keepdims=True)
 
 

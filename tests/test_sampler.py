@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tgcs import sampler
 from tgcs.gseq import Factorial, MLGamma
 from tgcs.sampler import _jackknife_stderr_q, _q_from_sums, sample_counts
 from tgcs.states import (ExcitationDistribution, StateSpec, excitation_distribution,
@@ -34,6 +35,18 @@ class TestDeterminism:
 
 
 class TestHistogram:
+    def test_chunked_draws_equal_one_shot(self):
+        # draws are made in chunks; PCG64 gives the same stream either way
+        dist = excitation_distribution(StateSpec(Factorial(), 30, 2.0))
+        n = (1 << 20) + 3
+        assert n > sampler._CHUNK
+        rng = np.random.Generator(np.random.PCG64(9))
+        cdf = np.cumsum(dist.probs)
+        cdf[-1] = 1.0
+        ref = np.bincount(np.searchsorted(cdf, rng.random(n), side="right"),
+                          minlength=len(cdf))
+        assert np.array_equal(sample_counts(dist, n, seed=9).counts, ref)
+
     def test_total_equals_n_samples(self):
         dist = excitation_distribution(StateSpec(MLGamma(0.5, 0.5), 10, 0.7))
         run = sample_counts(dist, 12_345, seed=3)

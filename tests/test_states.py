@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tgcs import states
 from tgcs.completeness import MLWeight
-from tgcs.gseq import Factorial, G1, MLGamma, Table, WrightProduct
+from tgcs.gseq import Factorial, G1, GSequence, MLGamma, Table, WrightProduct
 from tgcs.specfun import mittag_leffler, wright
 from tgcs.states import (DivergenceError, FockVector, INFINITE, MAX_TERMS,
                          IncompatibleSpecError, StateSpec, amplitudes,
@@ -241,6 +241,98 @@ class TestOneRowPerSpec:
         assert correlation_g2(filled) == correlation_g2(fresh)
         if spec.k != INFINITE:
             assert amplitudes(filled).tobytes() == amplitudes(fresh).tobytes()
+
+
+def _full_row(seq, u):
+    """(p, N, ln N) over the whole row n = 0..level with no term skipped, the level
+    being where the tail rule first holds on one ln g table from n = 0."""
+    log_u, size = math.log(u), 64
+    while True:
+        n = np.arange(size)
+        lt = n * log_u - seq.log_g_array(n)
+        falling = np.flatnonzero(np.diff(lt) < 0) + 1
+        tail = lt[falling] - np.log1p(-np.exp(lt[falling] - lt[falling - 1]))
+        done = falling[tail < states._LOG_TAIL_TOL + np.maximum.accumulate(lt)[falling]]
+        if done.size:
+            break
+        size *= 2
+    lt = lt[:done[0] + 1]
+    m = lt.max()
+    w = np.exp(lt - m)
+    total = w.sum()
+    log_norm = m + math.log(total)
+    return w / total, math.exp(m) * total if log_norm < 709.0 else math.inf, log_norm
+
+
+class TestLevelSearch:
+    """A k = inf spec searches its level once, from where its terms can be nonzero."""
+
+    PINNED = [StateSpec(G1(0.0, 1.9, 0.6), INFINITE, math.sqrt(300.0)),
+              # 664 827 terms, nonzero from n = 582 109
+              StateSpec(MLGamma(0.2148531279075242, 2.016686133027092), INFINITE,
+                        complex(-2.6957602175846755, -2.339243072207651))]
+
+    def _assert_full_row(self, spec):
+        probs, norm, log_norm = _full_row(spec.seq, spec.u)
+        assert excitation_distribution(spec).probs.tobytes() == probs.tobytes()
+        assert normalization(spec) == norm and log_normalization(spec) == log_norm
+
+    def test_rows_equal_the_full_rows(self):
+        for seed in range(3000, 4000):
+            try:
+                spec = random_state_spec(np.random.default_rng(seed))
+            except DivergenceError:  # refused at construction
+                continue
+            if spec.k == INFINITE and spec.u > 0:
+                self._assert_full_row(spec)
+
+    @pytest.mark.parametrize("spec", PINNED, ids=["g1", "ml"])
+    def test_pinned_rows_equal_the_full_rows(self, spec):
+        self._assert_full_row(spec)
+
+    def test_probe_runs_only_for_a_longer_series(self, monkeypatch):
+        calls = []
+        probe = states._check_term_budget
+        monkeypatch.setattr(states, "_check_term_budget",
+                            lambda *a: calls.append(a) or probe(*a))
+        short = StateSpec(Factorial(), INFINITE, 2.0)  # settles within 64 terms
+        assert calls == []
+        longer = StateSpec(Factorial(), INFINITE, 12.0)  # 270 terms
+        assert len(calls) == 1
+        excitation_distribution(short)
+        excitation_distribution(longer)
+        assert len(calls) == 1
+
+    def test_row_computes_ln_g_past_the_first_round_and_n0(self, monkeypatch):
+        seen = []
+        log_g_array = GSequence.log_g_array
+        monkeypatch.setattr(GSequence, "log_g_array",
+                            lambda self, n: seen.append(n) or log_g_array(self, n))
+        short, longer = (StateSpec(Factorial(), INFINITE, z) for z in (2.0, 12.0))
+        seen.clear()
+        excitation_distribution(short)
+        assert seen == []  # the first round's table serves the row
+        excitation_distribution(longer)
+        # the first round is reused; past the peak at n = 144 the last round ends
+        # near the level, 269, not at 511
+        assert min(n[0] for n in seen) == 64 and max(n[-1] for n in seen) < 300
+        g1 = StateSpec(G1(0.0, 1.9, 0.6), INFINITE, math.sqrt(300.0))
+        seen.clear()
+        probs = excitation_distribution(g1).probs
+        assert 64 < min(n[0] for n in seen) <= np.flatnonzero(probs)[0]
+        assert sum(n.size for n in seen) < len(probs)  # no ln g before n0
+
+    def test_search_stops_at_max_terms(self, monkeypatch):
+        # Poisson terms at u = 4000 peak at n = 4000 and need about 4500
+        monkeypatch.setattr(states, "MAX_TERMS", 4096)
+        seen = []
+        log_g_array = GSequence.log_g_array
+        monkeypatch.setattr(GSequence, "log_g_array",
+                            lambda self, n: seen.append(n) or log_g_array(self, n))
+        with pytest.raises(DivergenceError):
+            states._adaptive_log_g(Factorial(), math.log(4000.0))
+        # each n once, in rounds that end at the cap
+        assert np.array_equal(np.concatenate(seen), np.arange(4096))
 
 
 class TestAmplitudes:
