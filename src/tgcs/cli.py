@@ -98,10 +98,9 @@ def _grid(spec: dict[str, Any], name: str) -> np.ndarray:
 def _label_rows(seq: GSequence, k, zgrid: np.ndarray):
     """states._shifted_rows at u = |z|^2 of each label, from n = 0 and one ln g table;
     what the spec at the largest label refuses, the grid does."""
-    _spec(seq, k, complex(zgrid[np.argmax(np.abs(zgrid))]))
+    spec = _spec(seq, k, complex(zgrid[np.argmax(np.abs(zgrid))]))
     u = [abs(r) ** 2 for r in zgrid.tolist()]
-    top = math.log(max(u)) if max(u) else -math.inf
-    return states._shifted_rows(states._log_g_table(seq, k, top), 0, u)
+    return states._shifted_rows(states._label_log_g(spec), 0, u)
 
 
 def _label_moments(seq: GSequence, k, zgrid: np.ndarray, falling: bool):

@@ -7,6 +7,7 @@ PRNG contract: numpy PCG64 seeded with the 64-bit run seed; identical
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -34,22 +35,52 @@ def _q_from_sums(s1, s2, n: float):
     return var / mean - 1.0
 
 
-# draws made at once: 16 bytes each.  PCG64 gives the same stream in chunks, so
+# draws made at once: 8 bytes each.  PCG64 gives the same stream in chunks, so
 # the counts do not depend on it; 2^20 keeps `tgcs verify`'s 10^6 draws in one
 _CHUNK = 1 << 20
+# how far the probabilities' sum may miss 1
+_SUM_TOL = 1e-6
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no count
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def sample_counts(dist: ExcitationDistribution, n_samples: int, seed: int) -> SampleRun:
-    """Inverse-CDF sampling over the finite support, deterministic per seed."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cdf = np.cumsum(dist.probs)
+    """Inverse-CDF sampling over the finite support, deterministic per seed.
+
+    A draw x lands at the first n with cdf(n) > x.  Each chunk of draws is
+    sorted in place, so the number of draws below every CDF step between its
+    smallest and largest draw comes from one search into them; the counts are
+    the differences of those numbers, and no step outside that window is
+    touched.  Refused with ValueError: a negative or NaN probability,
+    probabilities summing to 1 no closer than _SUM_TOL, a seed that is not an
+    integer (None would draw OS entropy), and an n_samples that is not an
+    integer >= 1.
+    """
+    if not _is_int(n_samples) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    probs = np.asarray(dist.probs)
+    cdf = np.cumsum(probs)
+    if not (probs.min() >= 0.0 and abs(cdf[-1] - 1.0) <= _SUM_TOL):  # NaN fails both
+        raise ValueError(f"probabilities must be >= 0 and sum to 1 within {_SUM_TOL:g}; "
+                         f"their sum is {cdf[-1]!r}")
     cdf[-1] = 1.0
-    counts = np.zeros(len(dist.probs), dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    counts = np.zeros(len(cdf), dtype=np.int64)
     for start in range(0, n_samples, _CHUNK):
-        draws = rng.random(min(_CHUNK, n_samples - start))
-        counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=len(counts))
+        x = rng.random(min(_CHUNK, n_samples - start))
+        x.sort()
+        # the draws land in lo..hi; counts[n] is the number below cdf[n] less the
+        # number below cdf[n - 1], with none below cdf[lo - 1] and all below cdf[hi]
+        lo, hi = np.searchsorted(cdf, (x[0], x[-1]), side="right")
+        below = np.searchsorted(x, cdf[lo:hi])
+        counts[lo:hi] += below
+        counts[lo + 1:hi + 1] -= below
+        counts[hi] += len(x)
 
     values = np.arange(len(counts), dtype=float)
     s1 = float(np.dot(values, counts))

@@ -248,6 +248,17 @@ def _log_g_table(seq: GSequence, k, top: float) -> np.ndarray:
     return seq.log_g_array(np.arange(1 if k == INFINITE else k + 1))
 
 
+def _label_log_g(spec: StateSpec) -> np.ndarray:
+    """ln g(0..level) for rows at every label up to the spec's (_log_g_table), from
+    the level search the spec began when that starts at n = 0: its rounds are the
+    ones _adaptive_log_g builds.  A search from n0 > 0 lacks the terms that rows
+    at smaller labels need."""
+    search = spec.__dict__.get("_search")
+    if search is not None and search.n0 == 0:
+        return search.table()
+    return _log_g_table(spec.seq, spec.k, math.log(spec.u) if spec.u else -math.inf)
+
+
 _BLOCK = 1 << 20  # entries of a log-term matrix built at once
 
 

@@ -205,6 +205,26 @@ class TestGridRoute:
                 g2 = correlation_g2(StateSpec(seq, INFINITE, complex(r)))
                 assert abs(float(gr["g2"]) - g2) <= scale / rep.mean_n
 
+    @pytest.mark.parametrize("command", ["mandel", "corr"])
+    @pytest.mark.parametrize("zmax", [1.0, 3.0])
+    def test_infinite_grid_computes_ln_g_once(self, tmp_path, monkeypatch, command, zmax):
+        # the grid goes on with the level search that the spec at its largest label
+        # began from n = 0, so it evaluates ln g no more often than that spec's own
+        # distribution does; it used to compute the first 64-value round twice
+        seq = {"variant": "ml_gamma", "alpha": 0.5, "beta": 1.0}
+        evaluated = []
+        log_g_array = GSequence.log_g_array
+        monkeypatch.setattr(GSequence, "log_g_array",
+                            lambda self, n: evaluated.append(np.size(n)) or log_g_array(self, n))
+        excitation_distribution(StateSpec(GSequence.from_json(seq), INFINITE, zmax))
+        alone = sum(evaluated)
+        evaluated.clear()
+        cfg = {"sequence": seq, "k": "inf", "z_grid": {"min": 0.0, "max": zmax, "points": 41}}
+        assert _cli_bytes(tmp_path, command, cfg)[0] == 0
+        assert sum(evaluated) == alone
+        if zmax == 1.0:  # the first round settles it: one round of 64 values, no probe
+            assert alone == 64
+
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 class TestOutputBytes:
@@ -410,6 +430,16 @@ class TestSample:
             "sequence": {"variant": "factorial"}, "k": 5,
             "z": {"re": 0.5, "im": 0.0}})
         assert main(["sample", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("key, value", [("n_samples", True), ("n_samples", 2.5),
+                                            ("seed", None), ("seed", 1.5)])
+    def test_non_integer_count_or_seed_is_config_error(self, tmp_path, capsys, key, value):
+        # the sampler refuses these too; the CLI answers first, without a traceback
+        cfg = write_config(tmp_path, "cfg.json", {
+            "sequence": {"variant": "factorial"}, "k": 5,
+            "z": {"re": 0.5, "im": 0.0}, "n_samples": 10, key: value})
+        assert main(["sample", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestVerifyAndErrors:

@@ -141,6 +141,104 @@ class TestEstimators:
         with pytest.raises(ValueError):
             sample_counts(dist, 0, seed=1)
 
+    @pytest.mark.parametrize("n_samples", [True, 2.5, 3.0, None])
+    def test_rejects_a_non_integer_sample_count(self, n_samples):
+        # True ran as 1 draw, 2.5 raised TypeError from range
+        dist = ExcitationDistribution(np.array([0.5, 0.5]), 1.0)
+        with pytest.raises(ValueError, match="n_samples"):
+            sample_counts(dist, n_samples, seed=1)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True])
+    def test_rejects_a_seed_that_is_no_integer(self, seed):
+        # None drew OS entropy: no run could be repeated from its seed
+        dist = ExcitationDistribution(np.array([0.5, 0.5]), 1.0)
+        with pytest.raises(ValueError, match="seed"):
+            sample_counts(dist, 10, seed)
+
+    def test_numpy_integers_are_accepted(self):
+        dist = ExcitationDistribution(np.array([0.5, 0.5]), 1.0)
+        a = sample_counts(dist, np.int64(50), np.uint32(7))
+        b = sample_counts(dist, 50, 7)
+        assert np.array_equal(a.counts, b.counts) and a.q_hat == b.q_hat
+
+    @pytest.mark.parametrize("probs", [
+        [0.0, 0.0],  # every draw went to the last n
+        [0.5, 0.4],
+        [0.5, 0.5 + 2e-6],
+        [0.5, math.nan, 0.5],  # sampled without a word
+        [1.5, -0.5],
+        [0.5, math.inf],
+        [-math.inf, 1.0],
+    ], ids=["all-zero", "sum-low", "sum-high", "nan", "negative", "inf", "minus-inf"])
+    def test_rejects_a_probability_vector_that_is_no_pmf(self, probs):
+        dist = ExcitationDistribution(np.array(probs), 1.0)
+        with pytest.raises(ValueError, match="probabilities"):
+            sample_counts(dist, 10, seed=1)
+
+    def test_sum_within_tolerance_is_sampled(self):
+        dist = ExcitationDistribution(np.array([0.5, 0.5 - 5e-7]), 1.0)
+        assert int(sample_counts(dist, 10, seed=1).counts.sum()) == 10
+
+
+def _run_by_search(probs, n_samples, seed):
+    """The unsorted route the sorted count replaced, kept as its oracle: each draw's
+    CDF step by one searchsorted, counted by bincount, chunk by chunk."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    counts = np.zeros(len(probs), dtype=np.int64)
+    for start in range(0, n_samples, sampler._CHUNK):
+        draws = rng.random(min(sampler._CHUNK, n_samples - start))
+        counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=len(counts))
+    values = np.arange(len(counts), dtype=float)
+    s1 = float(np.dot(values, counts))
+    s2 = float(np.dot(values * values, counts))
+    n = float(n_samples)
+    if s1 == 0.0 or n_samples < 2:
+        return counts, None, None, None
+    return (counts, _q_from_sums(s1, s2, n), n * (s2 - s1) / (s1 * s1),
+            _jackknife_stderr_q(counts, s1, s2, n))
+
+
+@st.composite
+def pmfs(draw):
+    """Probability vectors with leading and trailing zeros, single atoms, and sums
+    moved a few units in the last place, so that the cumulative sum can pass 1
+    before its last entry."""
+    body = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60)
+                         .filter(lambda w: sum(w) > 0)))
+    body /= body.sum()
+    top = int(np.argmax(body))
+    for _ in range(draw(st.integers(0, 4))):
+        body[top] = np.nextafter(body[top], draw(st.sampled_from([0.0, 2.0])))
+    return np.concatenate([np.zeros(draw(st.integers(0, 40))), body,
+                           np.zeros(draw(st.integers(0, 40)))])
+
+
+_PAST_ONE = np.append(np.full(9, 1.0 / 9.0), 0.0)  # cumulative sum 1 + 2^-52 at n = 8
+
+
+class TestSortedCount:
+    @given(pmfs(), st.integers(1, 5000), st.integers(0, 2 ** 32 - 1))
+    @example(np.array([1.0]), 1, 0)  # a single atom
+    @example(np.array([0.0, 0.0, 1.0, 0.0]), 3, 5)
+    @example(_PAST_ONE, 5000, 2 ** 32 - 1)
+    @example(np.array([0.0, 0.25, 0.5, 0.25, 0.0]), (1 << 20) + 3, 17)  # two chunks
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_searchsorted_route(self, probs, n_samples, seed):
+        run = sample_counts(ExcitationDistribution(probs, 1.0), n_samples, seed)
+        counts, q_hat, g2_hat, stderr_q = _run_by_search(probs, n_samples, seed)
+        assert run.counts.dtype == counts.dtype and np.array_equal(run.counts, counts)
+        # repr, so that None and the float bits both count
+        assert repr((run.q_hat, run.g2_hat, run.stderr_q)) == repr((q_hat, g2_hat, stderr_q))
+
+    def test_cumulative_sum_past_one_before_the_end(self):
+        # the steps past 1 lie above every draw in [0, 1), as the last one does
+        assert np.cumsum(_PAST_ONE)[-2] > 1.0
+        run = sample_counts(ExcitationDistribution(_PAST_ONE, 1.0), 20_000, seed=3)
+        assert run.counts[-1] == 0
+        assert np.array_equal(run.counts, _run_by_search(_PAST_ONE, 20_000, 3)[0])
+
 
 def _jackknife_by_loop(counts, s1, s2, n):
     """The per-value loop that the vectorized jackknife replaced, kept as its oracle."""

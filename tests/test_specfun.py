@@ -35,9 +35,15 @@ def mpmath_kratzel(lam: float, mu: float, u: float) -> float:
     points = sorted({left, right, *np.arange(math.ceil(left), right).tolist(),
                      *(lo + width * np.arange(-8.0, 8.5, 0.5)).tolist()})
     with mpmath.workdps(20):
-        val = mpmath.quad(lambda t: mpmath.exp(a * t - u * mpmath.exp(-t)
-                                               - mpmath.exp(t / lam)), points)
-    return float(val) / lam
+        def exponent(t):
+            return a * t - u * mpmath.exp(-t) - mpmath.exp(t / lam)
+
+        # relative to its maximum: quad's error estimate divides by log10 of the
+        # change between its levels, which at (lam, mu) = (2, 1), ln u = -120 was
+        # exactly 1, one unit in the last place of a segment worth 3e24
+        peak = exponent(mpmath.mpf(lo))
+        val = mpmath.quad(lambda t: mpmath.exp(exponent(t) - peak), points)
+        return float(val * mpmath.exp(peak)) / lam
 
 
 class TestMittagLeffler:
@@ -196,7 +202,7 @@ class TestKratzelKernel:
 
     @pytest.mark.parametrize("lam, mu, log_u", [
         (0.6515412866012806, 0.5373180936003719, -73.86253539305392),
-        (0.5, 0.45, -67.5), (0.5, 0.45, -120.0)])
+        (0.5, 0.45, -67.5), (0.5, 0.45, -120.0), (2.0, 1.0, -120.0)])
     def test_mu_below_lam_at_small_u(self, lam, mu, log_u):
         # the window's right end cancelled to the peak where the slope there is
         # rounding noise below 0, dropping the slow e^(a t) tail: 0.22 of the value
