@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Print one sha256 per group of pinned outputs, for a before/after identity check.
+
+    python3 scripts/pinned_outputs.py
+
+Run it in two checkouts and compare the lines: a change that keeps every
+pinned output prints the same hashes.  The groups:
+
+  figure_grids_csvs  the eight CSVs of scripts/figure_grids.py (41 points)
+  verify             run_verification_suite(), by repr
+  sampler            sample_counts over random_state_spec seeds 0-2999,
+                     n_samples in {1, 2, 3, 2000}
+  infinite_rows      k = inf specs of random_state_spec seeds 3000-29999: the
+                     probabilities' bytes, N, ln N, Q and g2
+  weights            weight eval values and weight_radial_moment, fixed list
+  cli_infinite       k = inf `tgcs mandel` and `tgcs corr` CSVs, fixed list
+
+It takes about 15 s on 2 vCPUs.
+
+A refused input hashes the type of its error, so a refusal that moves shows.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np
+
+import figure_grids
+from tgcs.cli import main, run_verification_suite
+from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight,
+                               WrightWeight, weight_radial_moment)
+from tgcs.gseq import G1, AuxFunction
+from tgcs.sampler import sample_counts
+from tgcs.states import (INFINITE, excitation_distribution, log_normalization,
+                         random_state_spec)
+from tgcs.statistics import correlation_g2, mandel_q
+
+INFINITE_ROW_SEEDS = range(3000, 30000)
+SAMPLER_SEEDS = range(3000)
+SAMPLE_SIZES = (1, 2, 3, 2000)
+WEIGHTS = [MLWeight(1.0, 1.0), MLWeight(0.5, 1.0), MLWeight(0.3, 1.7), MLWeight(2.0, 1.0, 5),
+           WrightWeight(1.0, 1.0, 4), WrightWeight(0.7, 1.2),
+           GeneralWeight(AuxFunction(1.0, 2.0, 1.0), G1(1.0, 2.0, 1.0)),
+           GeneralWeight(AuxFunction(0.0, 1.9, 0.6), G1(0.0, 1.9, 0.6)),
+           CanonicalTruncatedWeight(7)]
+WEIGHT_U = np.array([1e-3, 0.5, 1.0, 7.0, 30.0, 64.0, 300.0])
+CLI_SEQUENCES = [{"variant": "factorial"},
+                 {"variant": "ml_gamma", "alpha": 0.5, "beta": 1.0},
+                 {"variant": "ml_gamma", "alpha": 0.3, "beta": 1.5},
+                 {"variant": "wright_product", "lam": 0.7, "mu": 1.2},
+                 {"variant": "g1", "nu": 0.0, "rho": 1.9, "w": 0.6}]
+CLI_ZMAX = (1.0, 3.0, 8.0, math.sqrt(300.0))
+
+
+def _refused(h, call):
+    """call(), or None with the refusal's type hashed."""
+    try:
+        return call()
+    except ValueError as exc:
+        h.update(f"refused {type(exc).__name__}".encode())
+        return None
+
+
+def figure_grids_csvs(h):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        figure_grids.run(Path(tmp), 41)
+        for path in sorted(Path(tmp).iterdir()):
+            h.update(path.name.encode() + path.read_bytes())
+
+
+def verify(h):
+    h.update(repr(run_verification_suite()).encode())
+
+
+def sampler(h):
+    for seed in SAMPLER_SEEDS:
+        spec = _refused(h, lambda: random_state_spec(np.random.default_rng(seed)))
+        if spec is None:
+            continue
+        dist = excitation_distribution(spec)
+        for n in SAMPLE_SIZES:
+            run = sample_counts(dist, n, seed)
+            h.update(run.counts.tobytes() + repr((run.q_hat, run.g2_hat, run.stderr_q)).encode())
+
+
+def infinite_rows(h):
+    for seed in INFINITE_ROW_SEEDS:
+        spec = _refused(h, lambda: random_state_spec(np.random.default_rng(seed)))
+        if spec is None or spec.k != INFINITE:
+            continue
+        dist = excitation_distribution(spec)
+        q = mandel_q(spec).q if spec.u > 0 else None
+        g2 = correlation_g2(spec) if spec.u > 0 else None
+        h.update(dist.probs.tobytes() + repr((dist.norm, log_normalization(spec), q, g2)).encode())
+
+
+def weights(h):
+    for w in WEIGHTS:
+        h.update(w.label().encode())
+        values = _refused(h, lambda: w.eval(WEIGHT_U))
+        if values is not None:
+            h.update(values.tobytes())
+        for n in range(3 if w.k == INFINITE else min(3, w.k + 1)):
+            h.update(repr(weight_radial_moment(w, n)).encode())
+
+
+def cli_infinite(h):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out.csv"
+        for seq in CLI_SEQUENCES:
+            for zmax in CLI_ZMAX:
+                cfg.write_text(json.dumps({"sequence": seq, "k": "inf",
+                                           "z_grid": {"min": 0.0, "max": zmax, "points": 41}}))
+                for command in ("mandel", "corr"):
+                    out.write_bytes(b"")
+                    rc = main([command, "--config", str(cfg), "--out", str(out)])
+                    h.update(f"{command} {rc}".encode() + out.read_bytes())
+
+
+GROUPS = [figure_grids_csvs, verify, sampler, infinite_rows, weights, cli_infinite]
+
+if __name__ == "__main__":
+    for group in GROUPS:
+        start = time.perf_counter()
+        h = hashlib.sha256()
+        group(h)
+        print(f"{group.__name__:18} {h.hexdigest()}  ({time.perf_counter() - start:.1f} s)",
+              flush=True)

@@ -96,11 +96,13 @@ def _grid(spec: dict[str, Any], name: str) -> np.ndarray:
 
 
 def _label_rows(seq: GSequence, k, zgrid: np.ndarray):
-    """states._shifted_rows at u = |z|^2 of each label, from n = 0 and one ln g table;
-    what the spec at the largest label refuses, the grid does."""
+    """states._shifted_rows at u = |z|^2 of each label, from n = 0 and one ln g table,
+    the one the spec at the largest label built at k = inf (states._log_g_table);
+    what that spec refuses, the grid does."""
     spec = _spec(seq, k, complex(zgrid[np.argmax(np.abs(zgrid))]))
     u = [abs(r) ** 2 for r in zgrid.tolist()]
-    return states._shifted_rows(states._label_log_g(spec), 0, u)
+    table = vars(spec).get("_table") or states._log_g_table(seq, k, -math.inf)
+    return states._shifted_rows(states._from_zero(seq, *table), 0, u)
 
 
 def _label_moments(seq: GSequence, k, zgrid: np.ndarray, falling: bool):

@@ -10,8 +10,7 @@ import numpy as np
 from . import specfun
 from .gseq import (AuxFunction, Factorial, GSequence, MLGamma, MomentReport, WrightProduct,
                    _moment_report)
-from .states import (INFINITE, _check_term_budget, _log_g_table, _log_term_rows,
-                     _truncation_level)
+from .states import INFINITE, _from_zero, _log_g_table, _log_term_rows, _truncation_level
 
 
 def _window(c: float, p: float, s_left: float, s_right: float,
@@ -52,11 +51,10 @@ class WeightFunction:
     def _log_normalization(self, t: np.ndarray) -> np.ndarray:
         """ln T at u = exp(t), from states' log-term rows; DivergenceError where
         a k = inf series would need more than MAX_TERMS terms."""
-        flat, top = np.ravel(t), float(np.max(t))
-        if self.k == INFINITE:
-            _check_term_budget(self.seq, math.exp(top))
+        flat, seq = np.ravel(t), self.seq
+        log_g = _from_zero(seq, *_log_g_table(seq, self.k, float(np.max(t))))
         return np.concatenate([specfun._log_sum_exp(lt) for lt in _log_term_rows(
-            _log_g_table(self.seq, self.k, top), 0, flat)]).reshape(np.shape(t))[()]
+            log_g, 0, flat)]).reshape(np.shape(t))[()]
 
     def eval(self, u):
         """U(u) for u > 0, a float or an array; ValueError if any u is not finite and > 0."""

@@ -10,12 +10,16 @@ import numpy as np
 
 from .specfun import QUAD_TOL, _trapezoid
 
+# one term budget: ln g is checked up to it, and the k = inf sums stop there
+MAX_TERMS = 1 << 21
+
 
 class GSequence:
     """Positive arithmetic function g(n) generating a coherent-state family.
 
     Subclasses are frozen dataclasses whose fields are the parameters (and JSON keys)
-    and implement _log_g; ln g stays representable far past where g overflows.
+    and implement _log_g, on an index array (and on a scalar n where they call
+    _check_log_g); ln g stays representable far past where g overflows.
     """
 
     variant: ClassVar[str]
@@ -29,6 +33,16 @@ class GSequence:
         if n.size and n.min() < 0:
             raise ValueError(f"sequence index must be >= 0, got {n.min()}")
         return self._log_g(n)
+
+    def _check_log_g(self) -> None:
+        """ValueError unless ln g(n) is a finite number for every n < MAX_TERMS;
+        ln g is convex in n, so its scalar forms at n = 0 and MAX_TERMS - 1 decide it."""
+        try:
+            finite = all(math.isfinite(self._log_g(n)) for n in (0, MAX_TERMS - 1))
+        except OverflowError:  # math.lgamma past about 2.56e305
+            finite = False
+        if not finite:
+            raise ValueError(f"{self!r} has no finite ln g(n) for some n < {MAX_TERMS}")
 
     def log_g(self, n: int) -> float:
         return float(self.log_g_array(np.array([n]))[0])
@@ -49,9 +63,12 @@ class GSequence:
         return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
-def _map(f, x: np.ndarray) -> np.ndarray:
+def _map(f, x):
     """f applied element by element: math.lgamma and math.log, not their numpy
-    counterparts, so that array values equal the scalar closed forms bit for bit."""
+    counterparts, so that array values equal the scalar closed forms bit for bit;
+    a scalar x gives that scalar form."""
+    if not isinstance(x, np.ndarray):
+        return f(x)
     return np.fromiter(map(f, x.tolist()), float, len(x))
 
 
@@ -76,6 +93,7 @@ class MLGamma(GSequence):
     def __post_init__(self):
         if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise ValueError("MLGamma requires alpha > 0 and beta > 0")
+        self._check_log_g()
 
     def _log_g(self, n: np.ndarray) -> np.ndarray:
         return _map(math.lgamma, self.alpha * n + self.beta)
@@ -92,6 +110,7 @@ class WrightProduct(GSequence):
     def __post_init__(self):
         if not (0 < self.lam < math.inf and 0 < self.mu < math.inf):
             raise ValueError("WrightProduct requires lam > 0 and mu > 0")
+        self._check_log_g()
 
     def _log_g(self, n: np.ndarray) -> np.ndarray:
         return _map(math.lgamma, n + 1) + _map(math.lgamma, self.lam * n + self.mu)
@@ -114,6 +133,7 @@ class G1(GSequence):
             raise ValueError("G1 requires nu >= 0")
         if not (0 < self.rho < math.inf and 0 < self.w < math.inf):
             raise ValueError("G1 requires rho > 0 and w > 0")
+        self._check_log_g()
 
     def _log_g(self, n: np.ndarray) -> np.ndarray:
         s = (n + self.nu + 1.0) / self.rho

@@ -9,12 +9,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .gseq import G1, Factorial, GSequence, MLGamma, Table, WrightProduct
+from .gseq import G1, MAX_TERMS, Factorial, GSequence, MLGamma, Table, WrightProduct
 from .specfun import SERIES_ABS_TOL, truncated_series_scaled
 
 INFINITE = math.inf
-# one term budget for the infinite-k convergence probe and summation
-MAX_TERMS = 1 << 21
 # ln of the tail bound, relative to the largest term, that ends a k = inf sum;
 # the extra 1e-4 margin keeps moment sums clean at the 1e-12 level
 _LOG_TAIL_TOL = math.log(SERIES_ABS_TOL * 1e-4)
@@ -61,8 +59,9 @@ class StateSpec:
         if self.k == INFINITE:
             if isinstance(self.seq, Table):
                 raise DivergenceError("Table sequences have finite domain; k must be finite")
-            if self.u != 0:
-                object.__setattr__(self, "_search", _first_round(self.seq, self.u))
+            # built here, so that a diverging series is refused here; _row releases it
+            object.__setattr__(self, "_table", _log_g_table(
+                self.seq, INFINITE, math.log(self.u) if self.u else -math.inf))
         elif isinstance(self.seq, Table) and self.k >= len(self.seq.values):
             raise ValueError(f"k = {self.k} runs past the end of the Table "
                              f"({len(self.seq.values)} values)")
@@ -75,13 +74,10 @@ class StateSpec:
     @cached_property  # kept in the instance __dict__, outside eq, hash and repr
     def _row(self) -> tuple[np.ndarray, float, float]:
         """(p(0..k) read-only, N, ln N) from _shifted_rows at the spec's label, once;
-        at k = inf from the level search that construction began (_first_round)."""
-        if self.k == INFINITE and self.u != 0:
-            search = self.__dict__.pop("_search")  # spent once the row is built
-            n0, log_g = search.n0, search.table()
-        else:
-            n0, log_g = 0, _log_g_table(self.seq, self.k, -math.inf)
+        at k = inf from the table that construction built."""
+        n0, log_g = vars(self).get("_table") or _log_g_table(self.seq, self.k, -math.inf)
         (m, w, total), = _shifted_rows(log_g, n0, [self.u])
+        vars(self).pop("_table", None)  # released once the row is built
         m, total = float(m[0, 0]), float(total[0, 0])
         probs = w[0] / total
         probs.flags.writeable = False
@@ -119,10 +115,10 @@ _PROBE_GRID = np.concatenate(([0], 2 ** np.arange((MAX_TERMS - 1).bit_length()),
                               [MAX_TERMS - 2, MAX_TERMS - 1]))
 
 
-def _check_term_budget(seq: GSequence, u: float) -> int:
-    """Refuse a k = inf series whose _LevelSearch would not end in MAX_TERMS terms;
-    else return n0, where the search can start: every term before it is 0.0 in
-    the row.
+def _check_term_budget(seq: GSequence, log_u: float) -> int:
+    """Refuse a k = inf series at ln u = log_u whose _log_g_table search would not
+    end in MAX_TERMS terms; else return n0, where the search can start: every
+    term before it is 0.0 in the row.
 
     The terms u^n / g(n) of every parametric variant are log-concave in n
     (ln g is convex), so once the search's stopping rule holds it holds at
@@ -133,8 +129,6 @@ def _check_term_budget(seq: GSequence, u: float) -> int:
     peak, so n0 is the last grid point left of the grid's largest term that
     lies more than -_LOG_UNDERFLOW below it (0 if none does).
     """
-    log_u = math.log(u)
-
     def log_terms(n) -> np.ndarray:
         n = np.asarray(n)
         return n * log_u - seq.log_g_array(n)
@@ -158,105 +152,66 @@ def _check_term_budget(seq: GSequence, u: float) -> int:
         if log_terms([hi - 1])[0] > limit:
             return n0
     raise DivergenceError(
-        f"normalization series needs more than {MAX_TERMS} terms for u={u:g}")
+        f"normalization series needs more than {MAX_TERMS} terms for u={math.exp(log_u):g}")
 
 
-class _LevelSearch:
-    """The level of a k = inf sum: the first n where the tail of the terms u^n / g(n)
-    is below _LOG_TAIL_TOL of the largest, the tail past a decreasing term bounded
-    by the geometric series of its ratio to the previous one.
+def _log_g_table(seq: GSequence, k, log_u: float) -> tuple[int, np.ndarray]:
+    """(n0, ln g(n0..level)) for rows up to ln u = log_u, every term before n0 being
+    0.0 in such a row: k + 1 values from n0 = 0 at finite k, ln g(0) at u = 0.  The
+    terms u^n / g(n) are log-concave in n, so with _from_zero the table serves
+    every smaller u too.
 
-    ln g is computed from n0, every term before which lies below the one at n0, a
-    round at a time, so that the search can stop after a round and go on later.
-    Each round doubles the number of terms, from _FIRST_ROUND up to _DOUBLING and
-    by a quarter past it.  Past the peak the ratio of consecutive terms never
-    rises (ln g is convex), so the tail bound falls at least linearly, and a
-    round ends where that already makes the rule hold.
+    At k = inf the level is the first n where the tail of the terms is below
+    _LOG_TAIL_TOL of the largest, the tail past a decreasing term bounded by the
+    geometric series of its ratio to the previous one.  ln g is computed a round
+    at a time.  Unless the first round, of _FIRST_ROUND terms, settles the
+    series, the term budget is checked (DivergenceError) and the search goes on,
+    from the budget's n0 when that lies past the round.  Rounds double up to
+    _DOUBLING terms and grow by a quarter past it.  Past the peak the ratio of
+    consecutive terms never rises (ln g is convex), so the tail bound falls at
+    least linearly, and a round ends where that already makes the rule hold.
     """
-
-    def __init__(self, seq: GSequence, log_u: float, n0: int = 0):
-        self.seq, self.log_u, self.n0, self.start = seq, log_u, n0, n0
-        self.chunks: list[np.ndarray] = []
-        self.log_g: np.ndarray | None = None  # ln g(n0..level), once found
-        # the largest term so far and the last one (none before n0: the rule applies
-        # after it); the last ratio and tail bound, once they fall
-        self.best, self.prev, self.slope, self.reach = -math.inf, math.nan, math.nan, math.nan
-
-    def run(self, end: int) -> bool:
-        """Go on up to n = end - 1 at most; True once the level is found."""
-        seq, log_u = self.seq, self.log_u
-        while self.log_g is None and self.start < end:
-            start = self.start
-            stop = min(max(2 * start if start < _DOUBLING else start + start // 4,
-                           _FIRST_ROUND), end)
-            if self.slope < 0:  # the rule holds by n = start + gap
-                gap = (self.reach - _LOG_TAIL_TOL - self.best) / -self.slope
-                if gap < stop - start - 1:
-                    stop = start + 1 + int(gap)
-            n = np.arange(start, stop)
-            self.chunks.append(seq.log_g_array(n))
-            lt = np.concatenate(([self.prev], n * log_u - self.chunks[-1]))  # from start - 1
-            ratio = lt[1:] - lt[:-1]
-            lt = lt[1:]
-            falling = np.flatnonzero(ratio < 0)
-            self.prev = float(lt[-1])
-            if not falling.size:  # the terms rise: the last is the largest
-                self.best = max(self.best, self.prev)
-            else:  # the rule holds only where the terms fall
-                best_n = np.maximum.accumulate(np.maximum(lt, self.best))
-                tail = lt[falling] - np.log1p(-np.exp(ratio[falling]))
-                done = falling[tail < _LOG_TAIL_TOL + best_n[falling]]
-                if done.size:
-                    self.log_g = np.concatenate(self.chunks)[:start - self.n0 + done[0] + 1]
-                    self.chunks = []
-                if falling[-1] == len(lt) - 1:
-                    self.slope, self.reach = float(ratio[-1]), float(tail[-1])
-                self.best = float(best_n[-1])
-            self.start = stop
-        return self.log_g is not None
-
-    def table(self) -> np.ndarray:
-        """ln g(n0..level), searched up to MAX_TERMS terms."""
-        if not self.run(MAX_TERMS):
-            raise DivergenceError(f"no effective truncation level within {MAX_TERMS} terms")
-        return self.log_g
+    if k != INFINITE or log_u == -math.inf:
+        return 0, seq.log_g_array(np.arange(1 if k == INFINITE else k + 1))
+    n0 = start = 0
+    while start < MAX_TERMS:
+        if start == n0:  # a search from n0, no term before it: the rule applies after it
+            chunks, best, prev, slope, reach = [], -math.inf, math.nan, math.nan, math.nan
+        stop = min(max(2 * start if start < _DOUBLING else start + start // 4, _FIRST_ROUND),
+                   MAX_TERMS)
+        if slope < 0:  # the rule holds by n = start + gap
+            gap = (reach - _LOG_TAIL_TOL - best) / -slope
+            if gap < stop - start - 1:
+                stop = start + 1 + int(gap)
+        n = np.arange(start, stop)
+        chunks.append(seq.log_g_array(n))
+        lt = np.concatenate(([prev], n * log_u - chunks[-1]))  # from start - 1
+        ratio = lt[1:] - lt[:-1]
+        lt = lt[1:]
+        falling = np.flatnonzero(ratio < 0)
+        prev = float(lt[-1])
+        if not falling.size:  # the terms rise: the last is the largest
+            best = max(best, prev)
+        else:  # the rule holds only where the terms fall
+            best_n = np.maximum.accumulate(np.maximum(lt, best))
+            tail = lt[falling] - np.log1p(-np.exp(ratio[falling]))
+            done = falling[tail < _LOG_TAIL_TOL + best_n[falling]]
+            if done.size:
+                return n0, np.concatenate(chunks)[:start - n0 + done[0] + 1]
+            if falling[-1] == len(lt) - 1:
+                slope, reach = float(ratio[-1]), float(tail[-1])
+            best = float(best_n[-1])
+        start = stop
+        if start == _FIRST_ROUND:  # the first round left the series open
+            skip = _check_term_budget(seq, log_u)
+            if skip > start:
+                n0 = start = skip
+    raise DivergenceError(f"no effective truncation level within {MAX_TERMS} terms")
 
 
-def _adaptive_log_g(seq: GSequence, log_u: float) -> np.ndarray:
-    """ln g(n) for n = 0..k, k the level of the terms u^n / g(n) (_LevelSearch)."""
-    return _LevelSearch(seq, log_u).table()
-
-
-def _first_round(seq: GSequence, u: float) -> _LevelSearch:
-    """A k = inf spec's level search as construction leaves it: its first round run,
-    and, unless that settles the series, the term budget checked (DivergenceError)
-    and the search set to go on from the budget's n0 when n0 lies past the round."""
-    search = _LevelSearch(seq, math.log(u))
-    if not search.run(_FIRST_ROUND):
-        n0 = _check_term_budget(seq, u)
-        if n0 > _FIRST_ROUND:
-            search = _LevelSearch(seq, search.log_u, n0)
-    return search
-
-
-def _log_g_table(seq: GSequence, k, top: float) -> np.ndarray:
-    """ln g(0..level) for rows up to ln u = top: k + 1 values, or for k = inf the
-    adaptive level at top, whose term budget the caller has checked; the terms
-    are log-concave in n, so it serves every smaller u too."""
-    if k == INFINITE and top > -math.inf:
-        return _adaptive_log_g(seq, top)
-    return seq.log_g_array(np.arange(1 if k == INFINITE else k + 1))
-
-
-def _label_log_g(spec: StateSpec) -> np.ndarray:
-    """ln g(0..level) for rows at every label up to the spec's (_log_g_table), from
-    the level search the spec began when that starts at n = 0: its rounds are the
-    ones _adaptive_log_g builds.  A search from n0 > 0 lacks the terms that rows
-    at smaller labels need."""
-    search = spec.__dict__.get("_search")
-    if search is not None and search.n0 == 0:
-        return search.table()
-    return _log_g_table(spec.seq, spec.k, math.log(spec.u) if spec.u else -math.inf)
+def _from_zero(seq: GSequence, n0: int, log_g: np.ndarray) -> np.ndarray:
+    """ln g(0..level) from a _log_g_table, for rows whose labels need the terms before n0."""
+    return np.concatenate((seq.log_g_array(np.arange(n0)), log_g)) if n0 else log_g
 
 
 _BLOCK = 1 << 20  # entries of a log-term matrix built at once

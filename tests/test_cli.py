@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tgcs
-from tgcs import cli
+from tgcs import cli, states
 from tgcs.cli import main
 from tgcs.completeness import MLWeight, WrightWeight, moment_check
 from tgcs.gseq import Factorial, GSequence
@@ -206,12 +206,14 @@ class TestGridRoute:
                 assert abs(float(gr["g2"]) - g2) <= scale / rep.mean_n
 
     @pytest.mark.parametrize("command", ["mandel", "corr"])
-    @pytest.mark.parametrize("zmax", [1.0, 3.0])
+    @pytest.mark.parametrize("zmax", [1.0, 3.0, 8.0])
     def test_infinite_grid_computes_ln_g_once(self, tmp_path, monkeypatch, command, zmax):
-        # the grid goes on with the level search that the spec at its largest label
-        # began from n = 0, so it evaluates ln g no more often than that spec's own
-        # distribution does; it used to compute the first 64-value round twice
+        # the grid extends the table that the spec at its largest label built to
+        # n = 0, so it evaluates ln g no more often than that spec's own
+        # distribution does, plus ln g(0..n0 - 1) for the rows at smaller labels;
+        # it used to compute the first 64-value round twice
         seq = {"variant": "ml_gamma", "alpha": 0.5, "beta": 1.0}
+        n0 = states._log_g_table(GSequence.from_json(seq), INFINITE, math.log(zmax ** 2))[0]
         evaluated = []
         log_g_array = GSequence.log_g_array
         monkeypatch.setattr(GSequence, "log_g_array",
@@ -221,9 +223,11 @@ class TestGridRoute:
         evaluated.clear()
         cfg = {"sequence": seq, "k": "inf", "z_grid": {"min": 0.0, "max": zmax, "points": 41}}
         assert _cli_bytes(tmp_path, command, cfg)[0] == 0
-        assert sum(evaluated) == alone
+        assert sum(evaluated) == alone + n0
         if zmax == 1.0:  # the first round settles it: one round of 64 values, no probe
             assert alone == 64
+        if zmax == 8.0:  # the search starts at n0 = 2048
+            assert (n0, alone + n0) == (2048, 9853)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -520,13 +524,16 @@ class TestVerifyAndErrors:
         ("mandel", {"sequence": {"variant": "g1", "nu": 1.0, "rho": 1.0, "w": 1.0},
                     "k": 10, "z_grid": {"min": 0.5, "max": 1.0, "points": 2},
                     "param_sweep": {"name": "x", "min": 0.5, "max": 1.0, "points": 3}}),
+        # ln g(1) = lgamma(1e306 + 1) overflows: it used to raise inside the row
+        ("probs", {"sequence": {"variant": "ml_gamma", "alpha": 1e306, "beta": 1.0}, "k": 1,
+                   "z_grid": {"min": 0.0, "max": 1.0, "points": 2}}),
     ], ids=["bad-grid", "negative-n", "n-past-k", "bool-k", "k-past-table",
             "invalid-sweep-value", "divergent-series", "past-term-budget",
             "degree-past-cap", "non-integer-weight-k", "n-max-past-k",
             "negative-weight-alpha", "moments-nan-tol", "moments-negative-tol",
             "verify-nan-tol", "verify-negative-tol", "mandel-k-zero", "corr-k-zero",
             "infinite-grid-max", "nan-grid-min", "log-grid-nonpositive-max",
-            "unknown-sweep-name"])
+            "unknown-sweep-name", "overflowing-sequence"])
     def test_bad_config_is_refused(self, tmp_path, capsys, command, cfg):
         path = write_config(tmp_path, "cfg.json", cfg)
         assert main([command, "--config", path]) == 2

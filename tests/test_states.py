@@ -1,6 +1,7 @@
 """State specs, normalizations, distributions, overlaps and Bargmann forms."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -93,6 +94,30 @@ class TestLabelSweep:
         if spec.k <= 1000:
             assert np.all(np.isfinite(excitation_distribution(spec).probs))
             assert math.isfinite(log_normalization(spec))
+
+
+class TestConstructorSweep:
+    """Any parameters, label and level: refused when built, or a distribution."""
+
+    @given(st.sampled_from([MLGamma, WrightProduct, G1]),
+           st.tuples(st.floats(), st.floats(), st.floats()),
+           st.sampled_from([1, 6, 40, INFINITE]), st.floats(), st.floats())
+    @settings(max_examples=200, deadline=None)
+    # ln g past the double range: math.lgamma raised OverflowError inside the row
+    @example(MLGamma, (1.0, 2.5599833278516387e305, 0.0), 1, 0.0, 0.0)
+    @example(MLGamma, (1e306, 1.0, 0.0), 1, 1.0, 0.0)
+    @example(MLGamma, (8.988465674311579e307, 8.98846567431158e307, 0.0), 1, 1.0, 0.0)
+    @example(WrightProduct, (8.988465674311579e307, 8.98846567431158e307, 0.0), 1, 1.0, 0.0)
+    @example(G1, (30550659169.0, 1.6994368304435877e-298, 1.0), INFINITE, 1.0, 0.0)
+    @example(G1, (1272851205.0, 1.6994368304435877e-298, 26535545499.0), INFINITE, 1.0, 0.0)
+    def test_spec_gives_a_distribution_or_is_refused(self, cls, params, k, re, im):
+        try:
+            spec = StateSpec(cls(*params[:len(fields(cls))]), k, complex(re, im))
+        except ValueError:  # DivergenceError too
+            return
+        probs = excitation_distribution(spec).probs
+        assert np.all(np.isfinite(probs)) and abs(float(np.sum(probs)) - 1.0) <= 1e-9
+        assert math.isfinite(log_normalization(spec))
 
 
 class TestNormalization:
@@ -303,36 +328,55 @@ class TestLevelSearch:
         excitation_distribution(longer)
         assert len(calls) == 1
 
-    def test_row_computes_ln_g_past_the_first_round_and_n0(self, monkeypatch):
-        seen = []
-        log_g_array = GSequence.log_g_array
+    @staticmethod
+    def _search_calls(monkeypatch) -> list:
+        """The n of each log_g_array call from here on, the term budget probe's left out."""
+        seen, probing = [], []
+        log_g_array, probe = GSequence.log_g_array, states._check_term_budget
         monkeypatch.setattr(GSequence, "log_g_array",
-                            lambda self, n: seen.append(n) or log_g_array(self, n))
-        short, longer = (StateSpec(Factorial(), INFINITE, z) for z in (2.0, 12.0))
-        seen.clear()
+                            lambda self, n: (probing or seen.append(n), log_g_array(self, n))[1])
+        monkeypatch.setattr(states, "_check_term_budget",
+                            lambda *a: (probing.append(a), probe(*a), probing.clear())[1])
+        return seen
+
+    def test_row_computes_ln_g_past_the_first_round_and_n0(self, monkeypatch):
+        seen = self._search_calls(monkeypatch)
+        short = StateSpec(Factorial(), INFINITE, 2.0)
         excitation_distribution(short)
-        assert seen == []  # the first round's table serves the row
+        # the first round's table, built with the spec, serves the row
+        assert [n.tolist() for n in seen] == [list(range(64))]
+        assert "_table" not in vars(short)  # released once the row is built
+        seen.clear()
+        longer = StateSpec(Factorial(), INFINITE, 12.0)
         excitation_distribution(longer)
         # the first round is reused; past the peak at n = 144 the last round ends
         # near the level, 269, not at 511
-        assert min(n[0] for n in seen) == 64 and max(n[-1] for n in seen) < 300
-        g1 = StateSpec(G1(0.0, 1.9, 0.6), INFINITE, math.sqrt(300.0))
+        assert seen[0].tolist() == list(range(64))
+        assert min(n[0] for n in seen[1:]) == 64 and max(n[-1] for n in seen) < 300
         seen.clear()
+        g1 = StateSpec(G1(0.0, 1.9, 0.6), INFINITE, math.sqrt(300.0))
         probs = excitation_distribution(g1).probs
-        assert 64 < min(n[0] for n in seen) <= np.flatnonzero(probs)[0]
-        assert sum(n.size for n in seen) < len(probs)  # no ln g before n0
+        assert seen[0].tolist() == list(range(64))
+        assert 64 < min(n[0] for n in seen[1:]) <= np.flatnonzero(probs)[0]
+        assert sum(n.size for n in seen[1:]) < len(probs)  # no ln g before n0
 
     def test_search_stops_at_max_terms(self, monkeypatch):
-        # Poisson terms at u = 4000 peak at n = 4000 and need about 4500
+        # Poisson terms at u = 4000 peak at n = 4000 and need about 4500; the
+        # probe, which would start the search at n0 = 1024, is set to start it at 0
         monkeypatch.setattr(states, "MAX_TERMS", 4096)
-        seen = []
-        log_g_array = GSequence.log_g_array
-        monkeypatch.setattr(GSequence, "log_g_array",
-                            lambda self, n: seen.append(n) or log_g_array(self, n))
+        monkeypatch.setattr(states, "_check_term_budget", lambda seq, log_u: 0)
+        seen = self._search_calls(monkeypatch)
         with pytest.raises(DivergenceError):
-            states._adaptive_log_g(Factorial(), math.log(4000.0))
+            states._log_g_table(Factorial(), INFINITE, math.log(4000.0))
         # each n once, in rounds that end at the cap
         assert np.array_equal(np.concatenate(seen), np.arange(4096))
+
+    @pytest.mark.parametrize("spec", PINNED, ids=["g1", "ml"])
+    def test_table_from_zero_is_the_whole_table(self, spec):
+        n0, log_g = states._log_g_table(spec.seq, INFINITE, math.log(spec.u))
+        assert n0 > 0
+        whole = states._from_zero(spec.seq, n0, log_g)
+        assert whole.tobytes() == spec.seq.log_g_array(np.arange(n0 + len(log_g))).tobytes()
 
 
 class TestAmplitudes:
