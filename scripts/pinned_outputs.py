@@ -14,10 +14,14 @@ pinned output prints the same hashes.  The groups:
                      probabilities' bytes, N, ln N, Q and g2
   weights            weight eval values and weight_radial_moment, fixed list
   cli_infinite       k = inf `tgcs mandel` and `tgcs corr` CSVs, fixed list
+  quadrature         mellin_transform, kratzel_kernel and moment_check values of
+                     the ML, Wright, general and canonical weights, fixed lists
 
 It takes about 15 s on 2 vCPUs.
 
 A refused input hashes the type of its error, so a refusal that moves shows.
+`quadrature_values()` yields the quadrature group's values one by one, for a
+comparison of two checkouts that goes past the hash.
 """
 
 import contextlib
@@ -37,9 +41,10 @@ import numpy as np
 import figure_grids
 from tgcs.cli import main, run_verification_suite
 from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight,
-                               WrightWeight, weight_radial_moment)
-from tgcs.gseq import G1, AuxFunction
+                               WrightWeight, moment_check, weight_radial_moment)
+from tgcs.gseq import G1, AuxFunction, WrightProduct, mellin_transform
 from tgcs.sampler import sample_counts
+from tgcs.specfun import QuadratureError, kratzel_kernel
 from tgcs.states import (INFINITE, excitation_distribution, log_normalization,
                          random_state_spec)
 from tgcs.statistics import correlation_g2, mandel_q
@@ -59,6 +64,21 @@ CLI_SEQUENCES = [{"variant": "factorial"},
                  {"variant": "wright_product", "lam": 0.7, "mu": 1.2},
                  {"variant": "g1", "nu": 0.0, "rho": 1.9, "w": 0.6}]
 CLI_ZMAX = (1.0, 3.0, 8.0, math.sqrt(300.0))
+MELLIN = [(AuxFunction(), (1.0, 2.5, 6.0)),
+          (AuxFunction(1.5, 0.8, 1.3), (1.0, 2.5, 5.0)),
+          (AuxFunction(0.0, 1.9, 0.6), (1.0, 3.0, 9.0)),
+          (AuxFunction(-0.5, 0.5, 2.0), (1.0, 4.0)),
+          (AuxFunction(2.0, 3.0, 0.1), (1.0, 20.0)),
+          (AuxFunction(0.0, 1.0, 1e200), (1.0,))]
+KRATZEL = [WrightProduct(0.5, 0.5), WrightProduct(0.7, 1.2), WrightProduct(1.0, 1.0),
+           WrightProduct(2.0, 1.0), WrightProduct(0.1, 0.1)]
+KRATZEL_U = (1e-30, 1e-3, 0.5, 1.0, 7.0, 300.0, 1e6)
+MOMENT_CHECKS = [(MLWeight(1.0, 1.0), 6), (MLWeight(0.5, 1.0), 4), (MLWeight(2.0, 0.1), 2),
+                 (MLWeight(2.0, 1.0, 5), 5), (WrightWeight(1.0, 1.0, 4), 2),
+                 (WrightWeight(0.7, 1.2), 2), (WrightWeight(1.0, 0.5), 3),
+                 (GeneralWeight(AuxFunction(1.0, 2.0, 1.0), G1(1.0, 2.0, 1.0)), 6),
+                 (GeneralWeight(AuxFunction(0.0, 1.9, 0.6), G1(0.0, 1.9, 0.6)), 4),
+                 (CanonicalTruncatedWeight(1), 1), (CanonicalTruncatedWeight(7), 7)]
 
 
 def _refused(h, call):
@@ -126,7 +146,28 @@ def cli_infinite(h):
                     h.update(f"{command} {rc}".encode() + out.read_bytes())
 
 
-GROUPS = [figure_grids_csvs, verify, sampler, infinite_rows, weights, cli_infinite]
+def quadrature_values():
+    """(label, value or the type of its refusal) for each quadrature output."""
+    calls = [(f"mellin {f} s={s}", lambda f=f, s=s: mellin_transform(f, s))
+             for f, ss in MELLIN for s in ss]
+    calls += [(f"kratzel {seq} u={u}", lambda seq=seq, u=u: kratzel_kernel(seq, u))
+              for seq in KRATZEL for u in KRATZEL_U]
+    calls += [(f"moments {w.label()}",
+               lambda w=w, n=n: [r.value for r in moment_check(w, n, 1e-8).rows])
+              for w, n in MOMENT_CHECKS]
+    for label, call in calls:
+        try:
+            yield label, call()
+        except (ValueError, QuadratureError) as exc:
+            yield label, type(exc).__name__
+
+
+def quadrature(h):
+    for label, value in quadrature_values():
+        h.update(f"{label} {value!r}".encode())
+
+
+GROUPS = [figure_grids_csvs, verify, sampler, infinite_rows, weights, cli_infinite, quadrature]
 
 if __name__ == "__main__":
     for group in GROUPS:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,23 +14,11 @@ from .gseq import (AuxFunction, Factorial, GSequence, MLGamma, MomentReport, Wri
 from .states import INFINITE, _from_zero, _log_g_table, _log_term_rows, _truncation_level
 
 
-def _window(c: float, p: float, s_left: float, s_right: float,
-            n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The t window of F u^(n+1) ~ e^((s_left + n) t) (t -> -inf), ~ e^((s_right + n) t
-    - c e^(t/p)) (t -> inf): from e^-60 below the decay's onset c e^(t/p) = 1, at
-    most from t = -700, to where the right tail falls below e^-800."""
-    s = s_right + n
-    hi = np.full(np.shape(s), p * math.log(800.0 / c))
-    for _ in range(8):  # to the fixed point from below, each step p s / (800 + s t) closer
-        hi = p * np.log((800.0 + np.maximum(s * hi, 0.0)) / c)
-    return np.maximum(-60.0 / (s_left + n) - p * math.log(c), -700.0), hi
-
-
 class WeightFunction:
     """Completeness density U(u) = pi^-1 F(u) T(u) on (0, inf), T the series of
     seq truncated at k: the moment identity pi int [T]^-1 U u^n du = g(n) is the
     integral of F u^(n+1) over t = ln u.  Subclasses give seq, k, the factor
-    (_log_factor, or _factor where it is signed) and its _tails (see _window).
+    (_log_factor, or _factor where it is signed) and its _tails (see specfun._window).
     """
 
     seq: GSequence
@@ -73,7 +62,7 @@ class WeightFunction:
     def _cancelled_moments(self, n: np.ndarray, tol: float) -> np.ndarray:
         """[values, error estimates] of int F u^(n+1) dt, one trapezoid row per n."""
         return specfun._trapezoid(lambda t, n: self._factor(t, (n + 1.0) * t),
-                                  tol, *_window(*self._tails, n), n)
+                                  tol, *specfun._window(*self._tails, n), n)
 
     def _radial_moments(self, n: np.ndarray) -> np.ndarray:
         """pi * int_0^inf [T(u)]^-1 U(u) u^n du for each n, one trapezoid row per n: ln T
@@ -85,7 +74,8 @@ class WeightFunction:
                 u_over_t = self._factor(t, log_norm) / math.pi / np.exp(log_norm)
                 return u_over_t * np.exp(t) ** (n + 1.0)
 
-        return math.pi * specfun._trapezoid(f, specfun.QUAD_TOL, *_window(*self._tails, n), n)[0]
+        window = specfun._window(*self._tails, n)
+        return math.pi * specfun._trapezoid(f, specfun.QUAD_TOL, *window, n)[0]
 
     def label(self) -> str:
         params = "".join(f"{p}={v}," for p, v in vars(self.seq).items())
@@ -130,7 +120,7 @@ class MLWeight(WeightFunction):
     k: float = INFINITE
     _kind = "ml"
 
-    @property
+    @cached_property  # kept in the instance __dict__, outside eq, hash and repr
     def seq(self) -> MLGamma:
         return MLGamma(self.alpha, self.beta)
 
@@ -152,7 +142,7 @@ class WrightWeight(WeightFunction):
     k: float = INFINITE
     _kind = "wright"
 
-    @property
+    @cached_property  # kept in the instance __dict__, outside eq, hash and repr
     def seq(self) -> WrightProduct:
         return WrightProduct(self.lam, self.mu)
 
@@ -177,9 +167,7 @@ class GeneralWeight(WeightFunction):
     k: float = INFINITE
     _kind = "general"
 
-    @property
-    def _tails(self) -> tuple[float, float, float, float]:
-        return self.f.w, 1.0 / self.f.rho, self.f.nu + 1.0, self.f.nu + 1.0
+    _tails = property(lambda self: self.f._tails)
 
     def _log_factor(self, t: np.ndarray) -> np.ndarray:
         return self.f.nu * t - self.f.w * np.exp(self.f.rho * t)

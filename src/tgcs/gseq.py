@@ -8,7 +8,7 @@ from typing import Any, ClassVar
 
 import numpy as np
 
-from .specfun import QUAD_TOL, _trapezoid
+from .specfun import QUAD_TOL, _trapezoid, _window
 
 # one term budget: ln g is checked up to it, and the k = inf sums stop there
 MAX_TERMS = 1 << 21
@@ -180,6 +180,10 @@ class AuxFunction:
         if not -1 < self.nu < math.inf:
             raise ValueError("AuxFunction requires nu > -1 for Mellin moments at s >= 1")
 
+    @property
+    def _tails(self) -> tuple[float, float, float, float]:
+        return self.w, 1.0 / self.rho, self.nu + 1.0, self.nu + 1.0
+
     def on_log_axis(self, t: np.ndarray, s: float) -> np.ndarray:
         """f(u) u^s at u = exp(t): the Mellin integrand on t = ln u, Jacobian included."""
         return np.exp((s + self.nu) * t - self.w * np.exp(np.minimum(self.rho * t, 700.0)))
@@ -191,9 +195,9 @@ class AuxFunction:
 
 def mellin_transform(f: AuxFunction, s: float) -> float:
     """int_0^inf f(u) u^(s-1) du by the trapezoid rule on the log axis."""
-    if s < 1:
-        raise ValueError("mellin_transform requires s >= 1")
-    return float(_trapezoid(f.on_log_axis, QUAD_TOL, -700.0, 700.0, s)[0, 0])
+    if not 1 <= s < math.inf:  # NaN too
+        raise ValueError("mellin_transform requires a finite s >= 1")
+    return float(_trapezoid(f.on_log_axis, QUAD_TOL, *_window(*f._tails, s - 1.0), s)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -229,7 +233,8 @@ def _moment_report(kind: str, values: list[float], targets: list[float],
 def verify_mellin_link(f: AuxFunction, seq: GSequence, n_max: int, tol: float) -> MomentReport:
     """Relative residuals |f^(n+1) - g(n)| / g(n) for n = 0..n_max, one trapezoid
     row per n at mellin_transform's tolerance."""
-    fhat = _trapezoid(f.on_log_axis, QUAD_TOL, -700.0, 700.0, np.arange(n_max + 1) + 1.0)[0]
+    n = np.arange(n_max + 1)
+    fhat = _trapezoid(f.on_log_axis, QUAD_TOL, *_window(*f._tails, n), n + 1.0)[0]
     return _moment_report(seq.variant, fhat.tolist(),
                           [seq.g(n) for n in range(n_max + 1)], tol)
 

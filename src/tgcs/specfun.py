@@ -148,25 +148,48 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny) / _EPS  # below it, rounding is not relative
 
 
-def _trapezoid(f, tol: float, lo=-700.0, hi=700.0, *params) -> np.ndarray:
+def _window(c: float, p: float, s_left: float, s_right: float,
+            n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The t window of F u^(n+1) ~ e^((s_left + n) t) (t -> -inf), ~ e^((s_right + n) t
+    - c e^(t/p)) (t -> inf): from e^-60 below the decay's onset c e^(t/p) = 1 to where
+    the right tail falls below e^-800, both ends clipped to the double range +-700.
+    QuadratureError where no window is left: both ends past one side, or an end NaN
+    (p or s_right + n infinite)."""
+    s = s_right + n
+    hi = np.full(np.shape(s), p * math.log(800.0 / c))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf ends; NaN ones from inf * 0
+        for _ in range(8):  # to the fixed point from below, each step p s / (800 + s t) closer
+            hi = p * np.log((800.0 + np.maximum(s * hi, 0.0)) / c)
+    lo, hi = np.maximum(-60.0 / (s_left + n) - p * math.log(c), -700.0), np.minimum(hi, 700.0)
+    if not (lo < hi).all():  # NaN too; else each end lies in [-700, 700]
+        raise QuadratureError("window: the integrand lies outside the double range",
+                              math.nan, math.inf)
+    return lo, hi
+
+
+@np.errstate(all="ignore")  # an f that overflows or gives NaN is refused below
+def _trapezoid(f, tol: float, lo, hi, *params) -> np.ndarray:
     """[integrals, error estimates] of f over [lo, hi] on the log axis t = ln u.
 
     The one quadrature behind every integral of the package.  One row per
-    entry of lo, hi and params (+-700 spans the double range); f(t, *p) takes
-    a flat array of nodes and each parameter repeated at its row's nodes.
-    Grids of step 32, then 0.5, trim each row to its nodes above _TRIM of its
-    largest, plus two each side (so that a zero of f at a node does not cut
-    off a lobe beyond it); then h halves until the change in a row's
-    sum, plus the rounding floor eps * |sum|, is within tol of the sum.  On
-    these analytic integrands, which decay exponentially or doubly
-    exponentially in t, the rule converges exponentially in 1/h (Trefethen &
-    Weideman, SIAM Rev. 56, 2014).  Raises QuadratureError on a non-finite f,
-    on a change at the rounding floor that misses tol, and after _HALVINGS
-    halvings.
+    entry of lo, hi and params, each window its caller's (_window, from the
+    integrand's tails); f(t, *p) takes a flat array of nodes and each
+    parameter repeated at its row's nodes.  One grid of step about 0.5 trims
+    each row to its nodes above _TRIM of its largest, plus two each side (so
+    that a zero of f at a node does not cut off a lobe beyond it); then h
+    halves until the change in a row's sum, plus the rounding floor
+    eps * |sum|, is within tol of the sum.  On these analytic integrands,
+    which decay exponentially or doubly exponentially in t, the rule
+    converges exponentially in 1/h once the window holds the support
+    (Trefethen & Weideman, SIAM Rev. 56, 2014).  Raises QuadratureError on a
+    non-finite f, on a change at the rounding floor that misses tol, after
+    _HALVINGS halvings, and where the window cuts off a tail: f at an end is
+    above _TRIM of its peak, and the exponential through that end and its
+    neighbour on the finest grid leaves more than tol * |sum| outside (an
+    end where f does not fall outward leaves an unbounded tail).
     """
     lo, hi, *params = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi, *params)))
-    rows = np.arange(lo.size)
 
     def sample(idx, start, step, count):  # f at start + step * j, j < count, rows idx
         r = np.repeat(idx, count)
@@ -176,25 +199,25 @@ def _trapezoid(f, tol: float, lo=-700.0, hi=700.0, *params) -> np.ndarray:
             raise QuadratureError("trapezoid: integrand not finite", math.nan, math.inf)
         return r, j, v
 
-    for step in (32.0, 0.5):
-        n = np.maximum(np.ceil((hi - lo) / step), 1).astype(int)
-        h = (hi - lo) / n
-        r, j, v = sample(rows, lo, h, n + 1)
-        starts = np.cumsum(n + 1) - n - 1
-        peak = np.maximum.reduceat(np.abs(v), starts)
-        big = np.abs(v) > _TRIM * peak[r]
-        first = np.maximum(np.minimum.reduceat(np.where(big, j, n[r]), starts) - 2, 0)
-        last = np.minimum(np.maximum.reduceat(np.where(big, j, 0), starts) + 2, n)
-        found = peak > _TINY  # a row not found keeps its window
-        lo, hi = np.where(found, lo + h * first, lo), np.where(found, lo + h * last, hi)
+    n = np.maximum(np.ceil((hi - lo) / 0.5), 1).astype(int)
+    h = (hi - lo) / n
+    r, j, v = sample(np.arange(lo.size), lo, h, n + 1)
+    starts = np.cumsum(n + 1) - n - 1
+    peak = np.maximum.reduceat(np.abs(v), starts)
+    big = np.abs(v) > _TRIM * peak[r]
+    first = np.maximum(np.minimum.reduceat(np.where(big, j, n[r]), starts) - 2, 0)
+    last = np.minimum(np.maximum.reduceat(np.where(big, j, 0), starts) + 2, n)
+    found = peak > _TINY  # a row not found keeps its window
+    end = np.abs(v[[starts, starts + n]])  # f at each end of the window
+    lo = np.where(found, lo + h * first, lo)
     fr, lr = first[r], last[r]
     v = v * (((j >= fr) & (j <= lr)) - 0.5 * (j == fr) - 0.5 * (j == lr))
     out = np.array([h * np.bincount(r, v, minlength=lo.size), np.zeros(lo.size)])
     n = np.where(found, last - first, 0)
-    idx = rows[n > 0]
+    idx = np.flatnonzero(n)
     for _halving in range(_HALVINGS):
         if idx.size == 0:
-            return out
+            break
         h[idx] /= 2.0
         r, _, v = sample(idx, lo + h, 2.0 * h, n[idx])
         n[idx] *= 2
@@ -208,6 +231,20 @@ def _trapezoid(f, tol: float, lo=-700.0, hi=700.0, *params) -> np.ndarray:
             raise QuadratureError("trapezoid: tol below the rounding floor",
                                   *out[:, stuck[0]].tolist())
         idx = idx[open_]
+    # past each end above _TRIM of its peak, the tail of the exponential through f there
+    # and next to it on the finest grid: end h / ln(inner / end), unbounded where f does
+    # not fall outward
+    side, row = np.nonzero(end > _TRIM * peak)
+    if row.size:
+        inner = np.abs(f(np.where(side, hi[row] - h[row], lo[row] + h[row]),
+                         *(p[row] for p in params)))
+        end = end[side, row]
+        tail = np.where(end < inner, end * h[row] / np.log(inner / end), np.inf)
+        tail = np.bincount(row, tail, minlength=lo.size)
+        cut = np.flatnonzero(tail > tol * np.abs(out[0]))
+        if cut.size:
+            raise QuadratureError("trapezoid: the window cuts off a tail",
+                                  out[0, cut[0]].item(), tail[cut[0]].item())
     if idx.size:
         raise QuadratureError(f"trapezoid: no convergence in {_HALVINGS} halvings",
                               *out[:, idx[0]].tolist())

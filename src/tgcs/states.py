@@ -10,7 +10,7 @@ from typing import Iterator
 import numpy as np
 
 from .gseq import G1, MAX_TERMS, Factorial, GSequence, MLGamma, Table, WrightProduct
-from .specfun import SERIES_ABS_TOL, truncated_series_scaled
+from .specfun import QUAD_TOL, SERIES_ABS_TOL, truncated_series_scaled
 
 INFINITE = math.inf
 # ln of the tail bound, relative to the largest term, that ends a k = inf sum;
@@ -295,6 +295,8 @@ def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
     Only equal powers of z survive the angular integration, which reduces the
     2-D integral to the radial weight moments; those are evaluated by one
     quadrature through the supplied weight function, a row per nonzero term.
+    The moments reproduce the weight's g(n), so a weight whose ln g(n) differs
+    from seq's by more than QUAD_TOL at such an n raises ValueError.
     """
     if len(psi.coeffs) != k + 1 or len(phi.coeffs) != k + 1:
         raise ValueError("FockVectors must have k+1 entries")
@@ -302,7 +304,10 @@ def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
     n = np.flatnonzero(c)
     if n.size == 0:
         return 0j
-    return complex(np.sum(c[n] * weight._radial_moments(n) * np.exp(-seq.log_g_array(n))))
+    log_g = seq.log_g_array(n)
+    if np.any(np.abs(weight.seq.log_g_array(n) - log_g) > QUAD_TOL):
+        raise ValueError(f"the weight is built for {weight.seq!r}, not for {seq!r}")
+    return complex(np.sum(c[n] * weight._radial_moments(n) * np.exp(-log_g)))
 
 
 def random_state_spec(rng: np.random.Generator, k_max: int = 20,

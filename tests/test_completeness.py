@@ -12,7 +12,7 @@ from scipy.special import erfc, i0e, k0e
 from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight,
                                WrightWeight, moment_check, weight_radial_moment)
 from tgcs.gseq import AuxFunction, G1
-from tgcs.specfun import QuadratureError, _trapezoid
+from tgcs.specfun import QuadratureError, _trapezoid, _window
 from tgcs.states import INFINITE, MAX_TERMS, DivergenceError
 
 EPS = float(np.finfo(float).eps)
@@ -20,7 +20,7 @@ EPS = float(np.finfo(float).eps)
 
 def improper(f, tol=1e-8):
     """int_0^inf f(u) du by specfun._trapezoid on t = ln u (Jacobian u)."""
-    return _trapezoid(lambda t: f(np.exp(t)) * np.exp(t), tol)[0, 0]
+    return _trapezoid(lambda t: f(np.exp(t)) * np.exp(t), tol, -700.0, 700.0)[0, 0]
 
 
 class TestQuadratureImproper:
@@ -48,6 +48,34 @@ class TestQuadratureImproper:
         assert exc.value.value == pytest.approx(1.0, rel=1e-13)
         with pytest.raises(QuadratureError):
             moment_check(MLWeight(1.0, 1.0), 2, 1e-20)
+
+    def test_window_that_cuts_off_a_tail_raises(self):
+        # e^(-|t|/1000) is e^-0.7 at +-700, and its tails hold most of the integral
+        with pytest.raises(QuadratureError, match="cuts off"):
+            _trapezoid(lambda t: np.exp(-np.abs(t) / 1000.0), 1e-8, -700.0, 700.0)
+        # a rising end has an unbounded tail
+        with pytest.raises(QuadratureError, match="cuts off"):
+            _trapezoid(lambda t: np.exp(t / 100.0), 1e-8, -700.0, 0.0)
+
+    def test_clipped_end_with_a_small_tail_is_kept(self):
+        # ML(2, 0.1) at n = 0: F u ~ e^(t/20) leaves the window at t = -700 at e^-35,
+        # a tail of about 1e-15 of the moment
+        assert _window(*MLWeight(2.0, 0.1)._tails, np.arange(3))[0][0] == -700.0
+        rep = moment_check(MLWeight(2.0, 0.1), 2, 1e-8)
+        assert rep.passed and rep.max_residual <= 1e-13
+
+    def test_window_ends_are_clipped_to_the_double_range(self):
+        # rho^-1 = 1e300 put the right end at 7e300, past any grid numpy can build
+        lo, hi = _window(*AuxFunction(0.0, 1e-300, 1.0)._tails, np.arange(2))
+        assert np.all(-700.0 <= lo) and np.all(hi == 700.0)
+
+    @pytest.mark.parametrize("f", [AuxFunction(0.0, 5e-324, 1.0),  # rho^-1 * ln w = inf * 0
+                                   AuxFunction(1e-7 - 1.0, 0.0135, 6.6e151)])
+    def test_integrand_outside_the_double_range_has_no_window(self, f):
+        # the second decays from t = -2.6e4 on: the +-700 span summed zeros to 0, where its
+        # transform at s = 1 is about e^16
+        with pytest.raises(QuadratureError, match="outside the double range"):
+            _window(*f._tails, np.arange(2))
 
 
 class TestWeightEval:
@@ -227,6 +255,12 @@ class TestMomentCheck:
         rep = moment_check(GeneralWeight(f, f.matching_sequence(), INFINITE), 6, 1e-6)
         assert rep.passed
 
+    def test_overflowing_general_weight_is_refused_without_a_warning(self):
+        # F u at u = e^t passes the double range near t = 280, before its decay
+        f = AuxFunction(0.5, 0.02, 1e-2)
+        with pytest.raises(QuadratureError, match="not finite"):
+            moment_check(GeneralWeight(f, f.matching_sequence()), 2, 1e-8)
+
     def test_canonical_truncated_reports_without_asserting(self):
         # no analytic cancellation exists; the identity is only approximate and
         # the report records the residuals as data
@@ -242,6 +276,16 @@ class TestMomentCheck:
         rep = moment_check(CanonicalTruncatedWeight(1), 1, 1e-8)
         assert rep.rows[0].value == pytest.approx(exact, rel=1e-12)
         assert rep.rows[1].value == pytest.approx(-exact, rel=1e-12)
+
+
+class TestSequenceOfAWeight:
+    @pytest.mark.parametrize("make", [lambda: MLWeight(0.5, 1.0),
+                                      lambda: WrightWeight(0.7, 1.2, 4)])
+    def test_built_once(self, make):
+        # each build also runs the sequence's ln g check
+        w = make()
+        assert w.seq is w.seq
+        assert w == make() and hash(w) == hash(make()) and repr(w) == repr(make())
 
 
 class TestRadialMoment:

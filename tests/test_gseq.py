@@ -6,12 +6,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgcs.gseq import (AsymptoticFamily, AsymptoticTerm, AuxFunction, Factorial,
                        G1, GSequence, MLGamma, Table, WrightProduct, _VARIANTS,
                        mellin_transform, verify_mellin_link)
+from tgcs.specfun import QuadratureError
 from tgcs.states import random_state_spec
 from tgcs.statistics import p_asymptotic
 
@@ -204,6 +205,60 @@ class TestAuxFunction:
             AuxFunction(rho=0.0)
         with pytest.raises(ValueError):
             AuxFunction(nu=-1.0)
+
+    @pytest.mark.parametrize("s", [0.5, math.nan, math.inf])
+    def test_rejects_s_outside_the_domain(self, s):
+        with pytest.raises(ValueError):
+            mellin_transform(AuxFunction(), s)
+
+    @pytest.mark.parametrize("f", [
+        # exact 1e-300: its peak sits 9 below t = -700, and the +-700 window cut it to
+        # 9.999e-301; the left end's tail is refused
+        AuxFunction(0.0, 1.0, 1e300),
+        # the decay starts near t = 3e23, so no window is left inside +-700; the +-700
+        # window gave 1808, not e^(6.8e20)
+        AuxFunction(-0.9981854272234484, 4.661671551239021e-22, 3.7527053758921126e-58),
+        # Gamma(1e300) 1e300 overflows: the window's right end, clipped from 7e300 to 700,
+        # cuts off a rising tail
+        AuxFunction(0.0, 1e-300, 1.0),
+        # rho^-1 = inf leaves a NaN end and no window
+        AuxFunction(0.0, 5e-324, 1.0)])
+    def test_window_that_loses_part_of_the_integrand_is_refused(self, f):
+        with pytest.raises(QuadratureError):
+            mellin_transform(f, 1.0)
+
+    def test_overflowing_integrand_is_refused_without_a_warning(self):
+        # f u^2 at u = e^t: e^(2.5 t - 0.01 e^(0.02 t)) passes the double range near
+        # t = 280, before the decay at t = 500 (pytest turns every warning into an error)
+        with pytest.raises(QuadratureError, match="not finite"):
+            mellin_transform(AuxFunction(0.5, 0.02, 1e-2), 2.0)
+
+    @given(nu=st.floats(), rho=st.floats(), w=st.floats(), s=st.floats())
+    @example(nu=0.0, rho=1.0, w=1e300, s=1.0)
+    @example(nu=-0.9981854272234484, rho=4.661671551239021e-22, w=3.7527053758921126e-58,
+             s=1.0)
+    @example(nu=0.5, rho=0.02, w=1e-2, s=2.0)
+    @example(nu=0.0, rho=1e-300, w=1.0, s=1.0)
+    @example(nu=0.0, rho=5e-324, w=1.0, s=1.0)
+    @example(nu=0.0, rho=1.0, w=7.719248915014685e-293, s=19550829470398.0)  # found by it
+    @settings(max_examples=300, deadline=None)
+    def test_transform_is_finite_or_refused(self, nu, rho, w, s):
+        # a ValueError where f or s is outside its domain; else a QuadratureError or a
+        # finite value >= 0, and never a warning (pytest makes each an error)
+        if not (0 < rho < math.inf and 0 < w < math.inf and -1 < nu < math.inf):
+            with pytest.raises(ValueError):
+                AuxFunction(nu, rho, w)
+            return
+        f = AuxFunction(nu, rho, w)
+        if not 1 <= s < math.inf:
+            with pytest.raises(ValueError):
+                mellin_transform(f, s)
+            return
+        try:
+            value = mellin_transform(f, s)
+        except QuadratureError:
+            return
+        assert math.isfinite(value) and value >= 0.0
 
 
 class TestMellinLink:

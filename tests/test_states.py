@@ -472,6 +472,15 @@ class TestBargmann:
         w = MLWeight(1.0, 1.0, INFINITE)
         assert abs(bargmann_inner_product(a, b, Factorial(), 3, w)) <= 1e-12
 
+    def test_inner_product_refuses_a_weight_of_another_sequence(self):
+        # the weight of Gamma(n/2 + 1/2) paired with n! gave 0.8456 for this unit vector
+        v = FockVector(np.full(4, 0.5))
+        with pytest.raises(ValueError, match="built for"):
+            bargmann_inner_product(v, v, Factorial(), 3, MLWeight(0.5, 0.5, 3))
+        # the moments do not depend on the weight's k
+        assert bargmann_inner_product(v, v, MLGamma(0.5, 0.5), 3, MLWeight(0.5, 0.5, 1)) == (
+            pytest.approx(1.0, rel=1e-12))
+
     def test_inner_product_reproduces_unit_norm_truncated(self):
         seq, k = MLGamma(0.5, 0.5), 3
         w = MLWeight(0.5, 0.5, k)
