@@ -182,11 +182,12 @@ def _trapezoid(f, tol: float, lo, hi, *params) -> np.ndarray:
     which decay exponentially or doubly exponentially in t, the rule
     converges exponentially in 1/h once the window holds the support
     (Trefethen & Weideman, SIAM Rev. 56, 2014).  Raises QuadratureError on a
-    non-finite f, on a change at the rounding floor that misses tol, after
-    _HALVINGS halvings, and where the window cuts off a tail: f at an end is
-    above _TRIM of its peak, and the exponential through that end and its
-    neighbour on the finest grid leaves more than tol * |sum| outside (an
-    end where f does not fall outward leaves an unbounded tail).
+    non-finite f, on a row whose peak is in (0, _TINY] (rounding is not
+    relative there; a row of zeros gives 0), on a change at the rounding floor
+    that misses tol, after _HALVINGS halvings, and where the window cuts off a
+    tail: f at an end is above _TRIM of its peak, and the exponential through
+    that end and its neighbour on the finest grid leaves more than tol * |sum|
+    outside (an end where f does not fall outward leaves an unbounded tail).
     """
     lo, hi, *params = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi, *params)))
@@ -213,6 +214,10 @@ def _trapezoid(f, tol: float, lo, hi, *params) -> np.ndarray:
     fr, lr = first[r], last[r]
     v = v * (((j >= fr) & (j <= lr)) - 0.5 * (j == fr) - 0.5 * (j == lr))
     out = np.array([h * np.bincount(r, v, minlength=lo.size), np.zeros(lo.size)])
+    if not found.all() and peak[~found].any():  # a row of zeros gives 0
+        row = np.argmax(~found & (peak > 0.0))
+        raise QuadratureError("trapezoid: integrand below the range of relative rounding",
+                              out[0, row].item(), math.inf)
     n = np.where(found, last - first, 0)
     idx = np.flatnonzero(n)
     for _halving in range(_HALVINGS):
@@ -251,6 +256,62 @@ def _trapezoid(f, tol: float, lo, hi, *params) -> np.ndarray:
     return out
 
 
+_CHEB_TOL = 1e-12  # of the chop test, on the last eighth of the coefficients
+_CHEB_CAP = 2048   # the largest N of _chebyshev
+# the least fall of the chop tail across a doubling: an analytic f's tail falls by
+# orders of magnitude down to f's noise floor, and by a few at most along it
+_CHEB_FALL = 8.0
+_CHEB_BLOCK = 1 << 18  # elements of one (x, node) block of the interpolant
+
+
+def _chebyshev(f, a: float, b: float):
+    """f on [a, b] as its interpolant in the Chebyshev points of the second kind,
+    t_j = (a + b)/2 + (b - a)/2 cos(pi j / N), j = 0..N: a callable on 1-D arrays.
+
+    N starts at 64 and doubles; the points are nested, so each doubling
+    evaluates f at the N new ones only.  It stops once the largest of the last
+    N/8 Chebyshev coefficients is within _CHEB_TOL (the chop test, Aurentz &
+    Trefethen, ACM TOMS 43, 2017), all of them from one rfft of the values
+    mirrored, a DCT-I.  The interpolant is the barycentric formula of the second
+    kind, weights (-1)^j halved at the ends (Berrut & Trefethen, SIAM Rev. 46,
+    2004), evaluated in blocks of _CHEB_BLOCK elements; at a node it gives f
+    there.  Raises QuadratureError on a non-finite f, where a doubling cuts the
+    tail by less than _CHEB_FALL (f's noise floor is above _CHEB_TOL) and where
+    N = _CHEB_CAP does not pass the test.
+    """
+    mid, half, n, last = (a + b) / 2.0, (b - a) / 2.0, 64, math.inf
+    t = mid + half * np.cos(np.pi * np.arange(n + 1) / n)
+    v = f(t)
+    while True:
+        if not np.isfinite(v).all():
+            raise QuadratureError("chebyshev: f not finite", math.nan, math.inf)
+        c = np.abs(np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real) / n
+        tail = max(c[-(n // 8):-1].max(), c[-1] / 2.0)
+        if tail <= _CHEB_TOL:
+            break
+        if n >= _CHEB_CAP or tail * _CHEB_FALL > last:
+            raise QuadratureError(f"chebyshev: not resolved by {n} + 1 points", math.nan, tail)
+        new = mid + half * np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n))
+        t, v = (np.insert(old, np.arange(1, n + 1), add) for old, add in ((t, new), (v, f(new))))
+        n, last = 2 * n, tail
+    w = (-1.0) ** np.arange(n + 1)
+    w[[0, -1]] /= 2.0
+    rows = max(1, _CHEB_BLOCK // t.size)
+
+    def interpolant(x):
+        out = np.empty(x.size)
+        for s in range(0, x.size, rows):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = w / (x[s:s + rows, None] - t)
+                block = (q @ v) / q.sum(axis=1)
+            hit = ~np.isfinite(block)  # x at a node (or within a subnormal of it)
+            block[hit] = v[np.argmax(np.isinf(q[hit]), axis=1)]
+            out[s:s + rows] = block
+        return out
+
+    return interpolant
+
+
 # past this exponent the kernel is e^-1e9: zero in double precision, and no
 # weight series summable in states.MAX_TERMS terms compensates it
 _KRATZEL_FLOOR = -1e9
@@ -286,7 +347,8 @@ def _kratzel(lam: float, mu: float, log_u, tol: float) -> np.ndarray:
     # the window is at most 700 (700 lam) wide on each side: expm1 stays finite
     big = np.log(50.0 + A + B + 700.0 * max(1.0, lam) * abs(a))
     root = np.sqrt(slope ** 2 + 100.0 * B / lam ** 2)
-    with np.errstate(divide="ignore", invalid="ignore"):  # A or B underflowed: no quadratic bound
+    # A or B underflowed, or is small enough for its bound to overflow: no quadratic bound
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         left = (np.sqrt(slope ** 2 + 100.0 * A) - slope) / A
         # the same value, without the cancellation of root + slope where slope < 0
         right = np.where(slope < 0, 100.0 / (root - slope), (root + slope) * lam ** 2 / B)

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, i0e, k0e
 
+from tgcs import specfun
 from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight,
-                               WrightWeight, moment_check, weight_radial_moment)
+                               WeightFunction, WrightWeight, moment_check,
+                               weight_radial_moment)
 from tgcs.gseq import AuxFunction, G1
 from tgcs.specfun import QuadratureError, _trapezoid, _window
 from tgcs.states import INFINITE, MAX_TERMS, DivergenceError
@@ -68,6 +70,10 @@ class TestQuadratureImproper:
         # rho^-1 = 1e300 put the right end at 7e300, past any grid numpy can build
         lo, hi = _window(*AuxFunction(0.0, 1e-300, 1.0)._tails, np.arange(2))
         assert np.all(-700.0 <= lo) and np.all(hi == 700.0)
+
+    def test_identically_zero_row_gives_zero(self):
+        # a row below _TINY but above 0 is refused (TestAuxFunction pins one)
+        assert _trapezoid(lambda t: np.zeros_like(t), 1e-8, -5.0, 5.0)[0, 0] == 0.0
 
     @pytest.mark.parametrize("f", [AuxFunction(0.0, 5e-324, 1.0),  # rho^-1 * ln w = inf * 0
                                    AuxFunction(1e-7 - 1.0, 0.0135, 6.6e151)])
@@ -276,6 +282,56 @@ class TestMomentCheck:
         rep = moment_check(CanonicalTruncatedWeight(1), 1, 1e-8)
         assert rep.rows[0].value == pytest.approx(exact, rel=1e-12)
         assert rep.rows[1].value == pytest.approx(-exact, rel=1e-12)
+
+
+class TestWrightInterpolatedRoute:
+    @given(lam=st.floats(math.log(0.05), math.log(5.0)),
+           mu=st.floats(math.log(0.05), math.log(5.0)))
+    @settings(max_examples=20, deadline=None)
+    # the direct route is 1.7e-10 off g(1) here, from the Kraetzel kernel at one outer
+    # node; the interpolant, 9e-15
+    @example(lam=math.log(0.10628043254226659), mu=math.log(0.055814576302982484))
+    def test_matches_the_direct_route(self, lam, mu):
+        # lam and mu log-uniform in [0.05, 5]: both routes raise, or they agree within
+        # 1e-12, or the interpolated route is the one nearer g(n)
+        w, n = WrightWeight(math.exp(lam), math.exp(mu)), np.arange(3)
+        try:
+            direct = WeightFunction._cancelled_moments(w, n, 1e-8)[0]
+        except QuadratureError:
+            with pytest.raises(QuadratureError):
+                w._cancelled_moments(n, 1e-8)
+            return
+        interpolated = w._cancelled_moments(n, 1e-8)[0]
+        target = np.array([w.moment_target(k) for k in n])
+        assert np.all((np.abs(interpolated - direct) <= 1e-12 * direct)
+                      | (np.abs(interpolated - target) < np.abs(direct - target)))
+
+    def test_kratzel_rows_per_check(self, monkeypatch):
+        rows, kratzel = [], specfun._kratzel
+
+        def counted(lam, mu, t, tol):
+            rows.append(np.size(t))
+            return kratzel(lam, mu, t, tol)
+
+        monkeypatch.setattr(specfun, "_kratzel", counted)
+        w = WrightWeight(0.7, 0.8)
+        rep = moment_check(w, 2, 1e-6)
+        assert rep.passed and rep.max_residual <= 1e-13
+        assert sum(rows) <= 257
+        rows.clear()
+        WeightFunction._cancelled_moments(w, np.arange(3), 1e-6)
+        assert sum(rows) >= 500  # the direct route, once per outer node
+
+    def test_noisy_kernel_falls_back_to_the_direct_route(self):
+        # at lam = 0.076, mu = 0.031 the kernel's own error leaves its Chebyshev
+        # coefficients near 1e-11, above the chop test; the tail stops falling at
+        # N = 512, and the check falls back there, not at the cap
+        w = WrightWeight(0.07640928619534303, 0.03115124714094506)
+        lo, hi = _window(*w._tails, np.arange(2))
+        with pytest.raises(QuadratureError, match="not resolved by 512"):
+            specfun._chebyshev(w._log_factor, lo.min(), hi.max())
+        assert np.array_equal(w._cancelled_moments(np.arange(2), 1e-6),
+                              WeightFunction._cancelled_moments(w, np.arange(2), 1e-6))
 
 
 class TestSequenceOfAWeight:

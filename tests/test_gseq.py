@@ -227,6 +227,12 @@ class TestAuxFunction:
         with pytest.raises(QuadratureError):
             mellin_transform(f, 1.0)
 
+    def test_integrand_below_relative_rounding_is_refused(self):
+        # the exact 1e-295 has its peak below _TINY, where the step-0.5 sum was
+        # returned unchecked: 1.000000011e-295, 1.1e-8 off against tol 1e-8
+        with pytest.raises(QuadratureError, match="relative rounding"):
+            mellin_transform(AuxFunction(0.0, 1.0, 1e295), 1.0)
+
     def test_overflowing_integrand_is_refused_without_a_warning(self):
         # f u^2 at u = e^t: e^(2.5 t - 0.01 e^(0.02 t)) passes the double range near
         # t = 280, before the decay at t = 500 (pytest turns every warning into an error)
@@ -241,6 +247,7 @@ class TestAuxFunction:
     @example(nu=0.0, rho=1e-300, w=1.0, s=1.0)
     @example(nu=0.0, rho=5e-324, w=1.0, s=1.0)
     @example(nu=0.0, rho=1.0, w=7.719248915014685e-293, s=19550829470398.0)  # found by it
+    @example(nu=0.0, rho=1.0, w=1e295, s=1.0)
     @settings(max_examples=300, deadline=None)
     def test_transform_is_finite_or_refused(self, nu, rho, w, s):
         # a ValueError where f or s is outside its domain; else a QuadratureError or a

@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tgcs.gseq import Factorial, MLGamma, WrightProduct
-from tgcs.specfun import (_log_sum_exp, kratzel_kernel, mittag_leffler,
-                          truncated_series_scaled, wright)
+from tgcs.specfun import (QuadratureError, _chebyshev, _log_sum_exp, kratzel_kernel,
+                          mittag_leffler, truncated_series_scaled, wright)
 from tgcs.states import _log_term_rows
 
 
@@ -240,3 +240,45 @@ class TestKratzelKernel:
         with pytest.raises(ValueError):
             WrightProduct(-1.0, 1.0)
 
+
+
+class TestChebyshev:
+    def test_reproduces_an_analytic_function_on_a_wide_window(self):
+        # a rise and a doubly exponential fall, as ln Z has, over 110 units of t
+        def f(t):
+            return 0.4 * t - np.exp(t / 4.0) + np.sin(t / 9.0)
+
+        t = np.random.default_rng(1).uniform(-100.0, 10.0, 5000)
+        assert np.max(np.abs(_chebyshev(f, -100.0, 10.0)(t) - f(t))) <= 1e-13
+
+    def test_gives_the_node_values_at_the_nodes(self):
+        seen = []
+
+        def f(t):
+            seen.append((t, np.exp(-t ** 2 / 50.0)))
+            return seen[-1][1]
+
+        interpolant = _chebyshev(f, -30.0, 20.0)
+        nodes, values = (np.concatenate(x) for x in zip(*seen))
+        assert np.array_equal(interpolant(nodes), values)
+
+    def test_refuses_noise_once_a_doubling_fails_to_cut_the_tail(self):
+        rng, points = np.random.default_rng(7), []
+
+        def noise(t):
+            points.append(np.size(t))
+            return rng.standard_normal(np.shape(t))
+
+        with pytest.raises(QuadratureError, match="not resolved by 128"):
+            _chebyshev(noise, 0.0, 1.0)
+        assert sum(points) == 129
+
+    def test_refuses_at_the_cap(self):
+        # coefficients falling as k^-4, 16-fold per doubling, from too high to
+        # meet the chop test by N = 2048
+        with pytest.raises(QuadratureError, match="not resolved by 2048"):
+            _chebyshev(lambda t: 1e4 * np.abs(t) ** 3, -1.0, 1.0)
+
+    def test_refuses_a_non_finite_f(self):
+        with pytest.raises(QuadratureError, match="not finite"):
+            _chebyshev(lambda t: np.where(t > 0.5, -np.inf, t), 0.0, 1.0)
