@@ -96,13 +96,12 @@ def _grid(spec: dict[str, Any], name: str) -> np.ndarray:
 
 
 def _label_rows(seq: GSequence, k, zgrid: np.ndarray):
-    """states._shifted_rows at u = |z|^2 of each label, from n = 0 and one ln g table,
-    the one the spec at the largest label built at k = inf (states._log_g_table);
-    what that spec refuses, the grid does."""
+    """states._shifted_rows at ln u = ln |z|^2 of each label, from n = 0 and one ln g
+    table, the spec's at the largest label (StateSpec._table, which at k = inf
+    serves every smaller label too); what that spec refuses, the grid does."""
     spec = _spec(seq, k, complex(zgrid[np.argmax(np.abs(zgrid))]))
-    u = [abs(r) ** 2 for r in zgrid.tolist()]
-    table = vars(spec).get("_table") or states._log_g_table(seq, k, -math.inf)
-    return states._shifted_rows(states._from_zero(seq, *table), 0, u)
+    log_u = [states._log_label(abs(r) ** 2) for r in zgrid.tolist()]
+    return states._shifted_rows(states._from_zero(seq, *spec._table), 0, log_u)
 
 
 def _label_moments(seq: GSequence, k, zgrid: np.ndarray, falling: bool):

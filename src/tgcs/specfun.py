@@ -125,17 +125,10 @@ def _scaled_exp(log_terms: np.ndarray) -> tuple[float, np.ndarray]:
     return m, np.exp(log_terms - m)
 
 
-def _log_sum_exp(log_terms: np.ndarray):
-    """ln sum exp(log_terms) over the last axis; -inf for the empty sum.
-
-    A 1-D array gives a float (through math.log, as every scalar sum here);
-    a matrix gives one value per row, each shifted by its own largest term.
-    Its terms below e^-700 of that are raised to it, which leaves a sum of at
-    least 1 unchanged and spares numpy's exp its slow underflow path.
-    """
-    if log_terms.ndim > 1:
-        m = np.max(log_terms, axis=-1, keepdims=True)
-        return m[..., 0] + np.log(np.sum(np.exp(np.maximum(log_terms - m, -700.0)), axis=-1))
+def _log_sum_exp(log_terms: np.ndarray) -> float:
+    """ln sum exp(log_terms) of a 1-D array, through math.log as every scalar sum
+    here; -inf for the empty sum.  The closed-form Q's own route: the rows of
+    p(n), N and ln T come from states._shifted_rows."""
     if len(log_terms) == 0:
         return -math.inf
     m, w = _scaled_exp(log_terms)
@@ -352,8 +345,9 @@ def _kratzel(lam: float, mu: float, log_u, tol: float) -> np.ndarray:
         left = (np.sqrt(slope ** 2 + 100.0 * A) - slope) / A
         # the same value, without the cancellation of root + slope where slope < 0
         right = np.where(slope < 0, 100.0 / (root - slope), (root + slope) * lam ** 2 / B)
-    lo = np.maximum.reduce([peak - left, log_u - big, peak - 700.0])
-    hi = np.minimum.reduce([peak + right, lam * big, peak + 700.0 * lam])
+    # fmax/fmin drop a NaN bound: 0/0 where A or B underflowed and the slope is 0
+    lo = np.fmax.reduce([peak - left, log_u - big, peak - 700.0])
+    hi = np.fmin.reduce([peak + right, lam * big, peak + 700.0 * lam])
     integral = _trapezoid(
         lambda t, peak, A, B: np.exp(a * (t - peak) - A * np.expm1(peak - t)
                                      - B * np.expm1((t - peak) / lam)),

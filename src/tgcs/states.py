@@ -59,9 +59,7 @@ class StateSpec:
         if self.k == INFINITE:
             if isinstance(self.seq, Table):
                 raise DivergenceError("Table sequences have finite domain; k must be finite")
-            # built here, so that a diverging series is refused here; _row releases it
-            object.__setattr__(self, "_table", _log_g_table(
-                self.seq, INFINITE, math.log(self.u) if self.u else -math.inf))
+            self._table  # built here, so that a diverging series is refused here
         elif isinstance(self.seq, Table) and self.k >= len(self.seq.values):
             raise ValueError(f"k = {self.k} runs past the end of the Table "
                              f"({len(self.seq.values)} values)")
@@ -72,12 +70,18 @@ class StateSpec:
         return abs(self.z) ** 2
 
     @cached_property  # kept in the instance __dict__, outside eq, hash and repr
+    def _table(self) -> tuple[int, np.ndarray]:
+        """(n0, ln g(n0..level)), the _log_g_table of the spec's row: at k = inf the
+        one its label needs, built with the spec; _row releases it."""
+        return _log_g_table(self.seq, self.k, _log_label(self.u))
+
+    @cached_property
     def _row(self) -> tuple[np.ndarray, float, float]:
-        """(p(0..k) read-only, N, ln N) from _shifted_rows at the spec's label, once;
-        at k = inf from the table that construction built."""
-        n0, log_g = vars(self).get("_table") or _log_g_table(self.seq, self.k, -math.inf)
-        (m, w, total), = _shifted_rows(log_g, n0, [self.u])
-        vars(self).pop("_table", None)  # released once the row is built
+        """(p(0..k) read-only, N, ln N) from _shifted_rows at the spec's label, once,
+        from _table, which it then releases."""
+        n0, log_g = self._table
+        (m, w, total), = _shifted_rows(log_g, n0, [_log_label(self.u)])
+        object.__delattr__(self, "_table")  # the frozen class refuses del
         m, total = float(m[0, 0]), float(total[0, 0])
         probs = w[0] / total
         probs.flags.writeable = False
@@ -214,33 +218,33 @@ def _from_zero(seq: GSequence, n0: int, log_g: np.ndarray) -> np.ndarray:
     return np.concatenate((seq.log_g_array(np.arange(n0)), log_g)) if n0 else log_g
 
 
-_BLOCK = 1 << 20  # entries of a log-term matrix built at once
+_BLOCK = 1 << 20  # entries of a row block built at once
 
 
-def _log_term_rows(log_g: np.ndarray, n0: int, log_u: np.ndarray) -> Iterator[np.ndarray]:
-    """Blocks of rows ln(u^n / g(n)), n = n0..n0 + len(log_g) - 1, at most _BLOCK
-    entries each: one row per entry of log_u = ln u (-inf: u = 0, the Kronecker
-    row), all from the one ln g table log_g = ln g(n0..)."""
+def _log_label(u: float) -> float:
+    """ln u by math.log, as the scalar sums take it; -inf at u = 0, the Kronecker row."""
+    return math.log(u) if u else -math.inf
+
+
+def _shifted_rows(log_g: np.ndarray, n0: int, log_u) -> Iterator[tuple[np.ndarray, ...]]:
+    """(m, w, sum of w) per block of at most _BLOCK entries, one row per entry of
+    log_u = ln u, all from the ln g table log_g = ln g(n0..): each row's largest
+    log term m = max ln(u^n / g(n)) and its terms over it, w = exp(ln(u^n / g(n))
+    - m) for n = 0.., with n0 zeros first.  The one kernel behind p(n), N, ln T
+    and the CLI grids.  A term more than -_LOG_UNDERFLOW below m stays 0.0, as
+    exp would round it, without numpy's slow underflow path."""
+    log_u = np.asarray(log_u, dtype=float)
     n = np.arange(n0, n0 + len(log_g))
     skip = int(n0 == 0)  # the n = 0 column stays 0: 0 ln u would be nan at u = 0
     step = max(1, _BLOCK // len(log_g))
     for i in range(0, len(log_u), step):
-        rows = np.zeros((min(step, len(log_u) - i), len(log_g)))
-        np.multiply(log_u[i:i + step, None], n[skip:], out=rows[:, skip:])
-        rows -= log_g
-        yield rows
-
-
-def _shifted_rows(log_g: np.ndarray, n0: int, u) -> Iterator[tuple[np.ndarray, ...]]:
-    """(m, w, sum of w) per row block at the labels u = |z|^2 (ln u by math.log,
-    as the scalar sums take it), from the ln g table log_g = ln g(n0..): each
-    row's largest log term and its terms over it, for n = 0.. with n0 zeros first."""
-    log_u = [math.log(x) if x else -math.inf for x in u]
-    for lt in _log_term_rows(log_g, n0, np.array(log_u)):
+        lt = np.zeros((min(step, len(log_u) - i), len(log_g)))
+        np.multiply(log_u[i:i + step, None], n[skip:], out=lt[:, skip:])
+        lt -= log_g
         m = lt.max(axis=1, keepdims=True)
         lt -= m
-        w = np.zeros((len(lt), n0 + len(log_g))) if n0 else lt  # exp in place at n0 = 0
-        np.exp(lt, out=w[:, n0:])
+        w = np.zeros((len(lt), n0 + len(log_g)))
+        np.exp(lt, out=w[:, n0:], where=lt > _LOG_UNDERFLOW)
         yield m, w, w.sum(axis=1, keepdims=True)
 
 

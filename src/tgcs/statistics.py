@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gseq import G1, AsymptoticFamily, GSequence, MLGamma, WrightProduct
+from .gseq import G1, AsymptoticFamily, AsymptoticTerm, GSequence, MLGamma, WrightProduct
 from .specfun import _log_sum_exp
 from .states import (INFINITE, ExcitationDistribution, StateSpec, _modulus_squared,
                      _truncation_level, excitation_distribution)
@@ -217,12 +217,11 @@ def p_asymptotic(kind: MLGamma | WrightProduct | G1 | AsymptoticFamily, n: int,
         # one term c u^-nu exp(-w u^rho) ln^l u (ML and G1 are such terms) gives 1/g(n) ~
         # rho^(l+1) w^e e^x x^(-e + 1/2) / (sqrt(2 pi) c ln^l (x/w)), x = n/rho,
         # e = (n+1-nu)/rho; x/w = u*^rho at the saddle point u* of the Mellin integrand
+        if isinstance(kind, G1):  # u^nu e^(-w u^rho): the one term c = 1 at -nu
+            kind = AsymptoticFamily((AsymptoticTerm(1.0, -kind.nu, kind.w, kind.rho),))
         lead, log_c, log_ln = 0.0, 0.0, 0.0
         if isinstance(kind, MLGamma):
             x, e = kind.alpha * n, kind.alpha * n + kind.beta
-        elif isinstance(kind, G1):
-            x, e = n / kind.rho, (n + kind.nu + 1.0) / kind.rho
-            lead = math.log(kind.rho) + e * math.log(kind.w)
         elif isinstance(kind, AsymptoticFamily):
             t = kind.terms[kind.leading_index()]
             if t.c < 0:

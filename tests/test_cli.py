@@ -370,6 +370,16 @@ class TestMoments:
         assert all(float(r["residual"]) <= 1e-8 for r in rows)
         assert float(rows[3]["target"]) == pytest.approx(math.gamma(4.0))
 
+    def test_wright_weight_with_an_underflowing_kratzel_window(self, tmp_path, capsys):
+        # Kraetzel rows near ln u = -195 once had a NaN window end, and main let
+        # np.repeat's ValueError out as a traceback
+        cfg = write_config(tmp_path, "cfg.json", {"weight": {
+            "kind": "wright", "lam": 0.09755983397799592, "mu": 0.031049533896327523,
+            "n_max": 1}})
+        assert main(["moments", "--config", cfg]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.splitlines()) == 3
+
     def test_unknown_kind_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {"weight": {"kind": "nope"}})
         assert main(["moments", "--config", cfg]) == 2

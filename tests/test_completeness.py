@@ -13,7 +13,7 @@ from tgcs import specfun
 from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight,
                                WeightFunction, WrightWeight, moment_check,
                                weight_radial_moment)
-from tgcs.gseq import AuxFunction, G1
+from tgcs.gseq import G1, AuxFunction, MomentReport
 from tgcs.specfun import QuadratureError, _trapezoid, _window
 from tgcs.states import INFINITE, MAX_TERMS, DivergenceError
 
@@ -305,6 +305,25 @@ class TestWrightInterpolatedRoute:
         target = np.array([w.moment_target(k) for k in n])
         assert np.all((np.abs(interpolated - direct) <= 1e-12 * direct)
                       | (np.abs(interpolated - target) < np.abs(direct - target)))
+
+    @given(lam=st.floats(math.log(0.02), math.log(8.0)),
+           mu=st.floats(math.log(0.02), math.log(8.0)))
+    @settings(max_examples=100, deadline=None)
+    @example(lam=math.log(0.09755983397799592), mu=math.log(0.031049533896327523))
+    def test_check_reports_or_refuses(self, lam, mu):
+        # lam and mu log-uniform in [0.02, 8]: a report, or a QuadratureError, and
+        # never an error from inside the quadrature
+        try:
+            rep = moment_check(WrightWeight(math.exp(lam), math.exp(mu)), 1, 1e-6)
+        except QuadratureError:
+            return
+        assert isinstance(rep, MomentReport)
+
+    def test_kratzel_window_end_that_is_nan_is_dropped(self):
+        # rows near ln u = -195 peak at t_a, where B = e^(t_a/lam) underflows and the
+        # slope is 0: the right end's quadratic bound is 0/0, which the window drops
+        rep = moment_check(WrightWeight(0.09755983397799592, 0.031049533896327523), 1, 1e-6)
+        assert rep.passed and rep.max_residual <= 1e-13
 
     def test_kratzel_rows_per_check(self, monkeypatch):
         rows, kratzel = [], specfun._kratzel

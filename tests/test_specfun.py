@@ -9,9 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tgcs.gseq import Factorial, MLGamma, WrightProduct
-from tgcs.specfun import (QuadratureError, _chebyshev, _log_sum_exp, kratzel_kernel,
+from tgcs.specfun import (QuadratureError, _chebyshev, kratzel_kernel,
                           mittag_leffler, truncated_series_scaled, wright)
-from tgcs.states import _log_term_rows
+from tgcs.states import _shifted_rows
 
 
 def mpmath_kratzel(lam: float, mu: float, u: float) -> float:
@@ -155,11 +155,11 @@ class TestTruncatedSeries:
             10 * math.log(1e200) - math.lgamma(11), rel=1e-12)
 
     def test_log_form(self):
-        # ln of the series from states' log-term rows against the polynomial
+        # ln of the series, m + ln sum w from states' shifted rows, against the polynomial
         seq = MLGamma(1.5, 0.5)
         u = np.array([3.0, 0.2])
-        rows, = _log_term_rows(seq.log_g_array(np.arange(13)), 0, np.log(u))
-        assert _log_sum_exp(rows) == pytest.approx(
+        (m, _, total), = _shifted_rows(seq.log_g_array(np.arange(13)), 0, np.log(u))
+        assert (m + np.log(total))[:, 0] == pytest.approx(
             [math.log(truncated_series(seq, 12, x).real) for x in u], rel=1e-13)
 
     def test_rejects_negative_k(self):

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from tgcs import states
 from tgcs.completeness import MLWeight
 from tgcs.gseq import Factorial, G1, GSequence, MLGamma, Table, WrightProduct
-from tgcs.specfun import mittag_leffler, wright
+from tgcs.specfun import _log_sum_exp, mittag_leffler, wright
 from tgcs.states import (DivergenceError, FockVector, INFINITE, MAX_TERMS,
                          IncompatibleSpecError, StateSpec, amplitudes,
                          bargmann_inner_product, bargmann_poly,
@@ -377,6 +378,45 @@ class TestLevelSearch:
         assert n0 > 0
         whole = states._from_zero(spec.seq, n0, log_g)
         assert whole.tobytes() == spec.seq.log_g_array(np.arange(n0 + len(log_g))).tobytes()
+
+
+_LOG_U = st.floats(-800.0, 800.0)
+
+
+class TestShiftedRows:
+    """states._shifted_rows, the one kernel behind p(n), N, ln T and the CLI grids."""
+
+    @given(seq=st.sampled_from([Factorial(), MLGamma(0.3, 1.2), WrightProduct(1.5, 0.4),
+                                G1(0.5, 2.0, 1.5)]),
+           size=st.integers(1, 400), block=st.integers(1, 2000),
+           # (n0, ln u of the rows): a table from n0 > 0 serves u > 0 only, so the
+           # u = 0 Kronecker rows, ln u = -inf, come with n0 = 0
+           case=st.tuples(st.just(0), st.lists(_LOG_U | st.just(-math.inf), min_size=1,
+                                               max_size=6))
+           | st.tuples(st.integers(1, 40), st.lists(_LOG_U, min_size=1, max_size=6)))
+    @settings(max_examples=200, deadline=None)
+    # rows that all but underflow, the Kronecker row, and a table from n0 > 0 in
+    # blocks of one row
+    @example(seq=Factorial(), size=400, block=1 << 20, case=(0, [800.0, 5.0]))
+    @example(seq=MLGamma(0.3, 1.2), size=30, block=7, case=(0, [-math.inf, 0.0, -math.inf]))
+    @example(seq=G1(0.5, 2.0, 1.5), size=400, block=100, case=(40, [-800.0, 300.0, 3.0]))
+    def test_rows_are_plain_exp_and_sum_to_ln_t(self, seq, size, block, case):
+        n0, log_u = case
+        log_g = seq.log_g_array(np.arange(n0, n0 + size))
+        with mock.patch.object(states, "_BLOCK", block):
+            m, w, total = (np.concatenate(x) for x in zip(*states._shifted_rows(
+                log_g, n0, log_u)))
+        n = np.arange(n0, n0 + size)
+        for i, x in enumerate(log_u):
+            with np.errstate(invalid="ignore"):  # 0 * -inf at n = 0, where the term is 1/g(0)
+                lt = np.where(n > 0, n * x, 0.0) - log_g
+            ref = np.zeros(n0 + size)
+            ref[n0:] = np.exp(lt - lt.max())
+            assert w[i].tobytes() == ref.tobytes() and m[i, 0] == lt.max()
+            # ln T against the closed-form Q's 1-D route; the n0 zeros in front move
+            # the sum's rounding by an ulp or so, hence 1e-15 of ln T or of 1
+            assert m[i, 0] + np.log(total[i, 0]) == pytest.approx(
+                _log_sum_exp(lt), rel=1e-15, abs=1e-15)
 
 
 class TestAmplitudes:
