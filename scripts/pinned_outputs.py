@@ -16,6 +16,9 @@ pinned output prints the same hashes.  The groups:
   cli_infinite       k = inf `tgcs mandel` and `tgcs corr` CSVs, fixed list
   quadrature         mellin_transform, kratzel_kernel and moment_check values of
                      the ML, Wright, general and canonical weights, fixed lists
+  roots_overlaps     polynomial_roots roots and residuals of the factorial, g1, ML
+                     and Wright sequences at k = 1..36, and overlap over a fixed
+                     list of far-apart label pairs
 
 It takes about 15 s on 2 vCPUs.
 
@@ -42,12 +45,13 @@ import figure_grids
 from tgcs.cli import main, run_verification_suite
 from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight,
                                WrightWeight, moment_check, weight_radial_moment)
-from tgcs.gseq import G1, AuxFunction, WrightProduct, mellin_transform
+from tgcs.gseq import G1, AuxFunction, Factorial, MLGamma, WrightProduct, mellin_transform
 from tgcs.sampler import sample_counts
 from tgcs.specfun import QuadratureError, kratzel_kernel
-from tgcs.states import (INFINITE, excitation_distribution, log_normalization,
-                         random_state_spec)
+from tgcs.states import (INFINITE, StateSpec, excitation_distribution, log_normalization,
+                         overlap, random_state_spec)
 from tgcs.statistics import correlation_g2, mandel_q
+from tgcs.zeros import polynomial_roots
 
 INFINITE_ROW_SEEDS = range(3000, 30000)
 SAMPLER_SEEDS = range(3000)
@@ -79,6 +83,15 @@ MOMENT_CHECKS = [(MLWeight(1.0, 1.0), 6), (MLWeight(0.5, 1.0), 4), (MLWeight(2.0
                  (GeneralWeight(AuxFunction(1.0, 2.0, 1.0), G1(1.0, 2.0, 1.0)), 6),
                  (GeneralWeight(AuxFunction(0.0, 1.9, 0.6), G1(0.0, 1.9, 0.6)), 4),
                  (CanonicalTruncatedWeight(1), 1), (CanonicalTruncatedWeight(7), 7)]
+
+ROOT_SEQUENCES = [Factorial(), G1(1.0, 1.5, 0.8), MLGamma(0.5, 0.5), WrightProduct(0.5, 0.5)]
+ROOT_DEGREES = range(1, 37)
+# (sequence, k, z1, z2): labels orders of magnitude apart, the origin among them
+OVERLAP_PAIRS = [(Factorial(), 10, 0.1, 1e100), (Factorial(), 7, 0.0, 1e50j),
+                 (G1(1.0, 1.5, 0.8), 5, 1e-150j, 1e150), (G1(0.0, 1.9, 0.6), 30, 2.0, -3e4),
+                 (MLGamma(0.5, 0.5), 36, 1e-3, 300j), (MLGamma(0.3, 1.5), 12, -1e-8, 1e8 - 1e8j),
+                 (WrightProduct(0.5, 0.5), 20, 1e150, -1e150),
+                 (WrightProduct(0.7, 1.2), 1, 1e-300, 5.0 + 5.0j)]
 
 
 def _refused(h, call):
@@ -167,7 +180,20 @@ def quadrature(h):
         h.update(f"{label} {value!r}".encode())
 
 
-GROUPS = [figure_grids_csvs, verify, sampler, infinite_rows, weights, cli_infinite, quadrature]
+def roots_overlaps(h):
+    for seq in ROOT_SEQUENCES:
+        for k in ROOT_DEGREES:
+            rs = polynomial_roots(seq, k)
+            h.update(rs.roots.tobytes() + rs.residuals.tobytes())
+    for seq, k, z1, z2 in OVERLAP_PAIRS:
+        # as complex, overlap's declared type: an exact 0 may come as float 0.0 or 0j
+        value = _refused(h, lambda: complex(overlap(StateSpec(seq, k, z1),
+                                                    StateSpec(seq, k, z2))))
+        h.update(repr(value).encode())
+
+
+GROUPS = [figure_grids_csvs, verify, sampler, infinite_rows, weights, cli_infinite, quadrature,
+          roots_overlaps]
 
 if __name__ == "__main__":
     for group in GROUPS:

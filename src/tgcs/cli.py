@@ -18,9 +18,9 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from . import completeness, sampler, states, statistics, zeros
-from .gseq import (AuxFunction, Factorial, G1, GSequence, MLGamma, WrightProduct,
+from .gseq import (MAX_TERMS, AuxFunction, Factorial, G1, GSequence, MLGamma, WrightProduct,
                    verify_mellin_link)
-from .specfun import QuadratureError
+from .specfun import QuadratureError, _log_label, _shifted_rows
 from .states import INFINITE, StateSpec, excitation_distribution, overlap, random_state_spec
 
 
@@ -78,14 +78,17 @@ def _spec(seq: GSequence, k, z: complex) -> StateSpec:
 
 def _grid(spec: dict[str, Any], name: str) -> np.ndarray:
     try:
-        lo, hi, pts = float(spec["min"]), float(spec["max"]), int(spec["points"])
-        scale = spec.get("scale", "linear")
+        lo, hi, pts = spec["min"], spec["max"], _count(spec["points"], "points")
+        # bool is an int subclass, and float() reads strings too
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (lo, hi)):
+            raise TypeError(f"min and max must be numbers, got {lo!r} and {hi!r}")
+        lo, hi, scale = float(lo), float(hi), spec.get("scale", "linear")
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} grid: {exc}") from exc
-    if pts < 1:
-        raise ConfigError(f"{name} grid must have at least one point")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"{name} grid bounds must be finite, got {lo} and {hi}")
+    if not 1 <= pts < MAX_TERMS:
+        raise ConfigError(f"{name} grid must have 1 to {MAX_TERMS - 1} points, got {pts}")
+    if not math.isfinite(hi - lo):  # an inf or NaN bound, or a span linspace overflows
+        raise ConfigError(f"{name} grid bounds and their span must be finite, got {lo} and {hi}")
     if scale == "linear":
         return np.linspace(lo, hi, pts)
     if scale == "log":
@@ -96,12 +99,12 @@ def _grid(spec: dict[str, Any], name: str) -> np.ndarray:
 
 
 def _label_rows(seq: GSequence, k, zgrid: np.ndarray):
-    """states._shifted_rows at ln u = ln |z|^2 of each label, from n = 0 and one ln g
+    """specfun._shifted_rows at ln u = ln |z|^2 of each label, from n = 0 and one ln g
     table, the spec's at the largest label (StateSpec._table, which at k = inf
     serves every smaller label too); what that spec refuses, the grid does."""
     spec = _spec(seq, k, complex(zgrid[np.argmax(np.abs(zgrid))]))
-    log_u = [states._log_label(abs(r) ** 2) for r in zgrid.tolist()]
-    return states._shifted_rows(states._from_zero(seq, *spec._table), 0, log_u)
+    log_u = [_log_label(abs(r) ** 2) for r in zgrid.tolist()]
+    return _shifted_rows(states._from_zero(seq, *spec._table), 0, log_u)
 
 
 def _label_moments(seq: GSequence, k, zgrid: np.ndarray, falling: bool):
@@ -343,8 +346,9 @@ def run_verification_suite(tol_override: float | None = None) -> tuple[list[dict
     spec = StateSpec(Factorial(), 50, 1.0 + 0.0j)
     q_true = statistics.mandel_q(spec).q
     run = sampler.sample_counts(excitation_distribution(spec), 1_000_000, seed=7)
+    # in units of 4 standard errors, not a residual: a tol override leaves it
     dev = abs(run.q_hat - q_true) / (4.0 * run.stderr_q)
-    record("sampler-agreement", dev, tol(1.0))
+    record("sampler-agreement", dev, 1.0)
 
     return checks, all(c["passed"] for c in checks)
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import specfun
 from .gseq import (AuxFunction, Factorial, GSequence, MLGamma, MomentReport, WrightProduct,
                    _moment_report)
-from .states import INFINITE, _from_zero, _log_g_table, _shifted_rows, _truncation_level
+from .states import INFINITE, _from_zero, _log_g_table, _truncation_level
 
 
 class WeightFunction:
@@ -38,10 +38,10 @@ class WeightFunction:
         return np.exp(self._log_factor(t) + log_scale)
 
     def _log_normalization(self, t: np.ndarray) -> np.ndarray:
-        """ln T = m + ln sum w at u = exp(t), from states._shifted_rows; DivergenceError
+        """ln T = m + ln sum w at u = exp(t), from specfun._shifted_rows; DivergenceError
         where a k = inf series would need more than MAX_TERMS terms."""
         log_g = _from_zero(self.seq, *_log_g_table(self.seq, self.k, float(np.max(t))))
-        return np.concatenate([(m + np.log(total))[:, 0] for m, _, total in _shifted_rows(
+        return np.concatenate([(m + np.log(total))[:, 0] for m, _, total in specfun._shifted_rows(
             log_g, 0, np.ravel(t))]).reshape(np.shape(t))[()]
 
     def eval(self, u):

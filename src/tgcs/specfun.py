@@ -1,4 +1,6 @@
-"""Special functions underlying the coherent-state constructions.
+"""Special functions underlying the coherent-state constructions, and the
+package's two numerical kernels: the shifted log-sum rows and the log-axis
+trapezoid rule.
 
 Everything here works on real nonnegative arguments except the truncated
 series, which is a plain degree-k polynomial and accepts complex input.
@@ -7,7 +9,8 @@ series, which is a plain degree-k polynomial and accepts complex input.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+import sys
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -39,6 +42,7 @@ SERIES_ABS_TOL = 1e-14
 SERIES_REL_TOL = 1e-14
 SERIES_MAX_TERMS = 10_000
 QUAD_TOL = 1e-8  # of the Mellin, Kraetzel, radial-moment and Bargmann quadratures
+_LN_MAX = math.log(sys.float_info.max)  # math.exp overflows past it
 
 
 def _positive_series(log_term, name: str) -> float:
@@ -54,7 +58,7 @@ def _positive_series(log_term, name: str) -> float:
     term = 0.0
     for n in range(SERIES_MAX_TERMS):
         lt = log_term(n)
-        term = math.exp(lt) if lt < 709.0 else math.inf
+        term = math.exp(lt) if lt < _LN_MAX else math.inf
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -98,41 +102,61 @@ def wright(lam: float, mu: float, x: float) -> float:
 
 
 def truncated_series_scaled(g: "GSequence", k: int, z: complex) -> tuple[complex, float]:
-    """sum_{n=0}^{k} z^n / g(n), a degree-k polynomial, as (mantissa, log_scale).
-
-    The value is mantissa * exp(log_scale).  Keeps overlaps of far-apart
-    labels representable when the plain sum would overflow a double.
-    """
+    """sum_{n=0}^{k} z^n / g(n), a degree-k polynomial, as (mantissa, log_scale): the
+    value mantissa * exp(log_scale), representable where the plain sum of far-apart
+    overlap labels overflows.  One _shifted_rows row at ln |z| (the Kronecker row at
+    z = 0) gives the magnitudes and, as its largest log term, log_scale."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    z = complex(z)
-    if z == 0:
-        return 1.0, -g.log_g(0)
-    n = np.arange(k + 1)
-    log_mag = n * math.log(abs(z)) - g.log_g_array(n)
-    shift, mag = _scaled_exp(log_mag)
-    terms = mag * (z / abs(z)) ** n
+    z, n = complex(z), np.arange(k + 1)
+    (m, (w,), _), = _shifted_rows(g.log_g_array(n), 0, [_log_label(abs(z))])
+    terms = w * (z / abs(z) if z else 1.0) ** n
     # ascending-magnitude summation keeps the small terms from being swamped
-    order = np.argsort(log_mag)
-    total = complex(np.sum(terms[order]))
-    return total, shift
-
-
-def _scaled_exp(log_terms: np.ndarray) -> tuple[float, np.ndarray]:
-    """(m, exp(log_terms - m)) with m = max(log_terms): the one max shift behind
-    every positive log-series here, whose sums overflow long before their logs."""
-    m = float(np.max(log_terms))
-    return m, np.exp(log_terms - m)
+    return complex(np.sum(terms[np.argsort(w)])), m.item()
 
 
 def _log_sum_exp(log_terms: np.ndarray) -> float:
-    """ln sum exp(log_terms) of a 1-D array, through math.log as every scalar sum
-    here; -inf for the empty sum.  The closed-form Q's own route: the rows of
-    p(n), N and ln T come from states._shifted_rows."""
+    """ln sum exp(log_terms) of a 1-D array, shifted by its max, through math.log
+    as every scalar sum here; -inf for the empty sum.  The closed-form Q's own
+    route, independent of _shifted_rows, which gives p(n), N and ln T."""
     if len(log_terms) == 0:
         return -math.inf
-    m, w = _scaled_exp(log_terms)
-    return m + math.log(float(np.sum(w)))
+    m = float(np.max(log_terms))
+    return m + math.log(float(np.sum(np.exp(log_terms - m))))
+
+
+# exp(x) is exactly 0.0 below x = -745.14: a term this far below the largest
+# adds nothing to a row
+_LOG_UNDERFLOW = -746.0
+_BLOCK = 1 << 20  # entries of a row block built at once
+
+
+def _log_label(u: float) -> float:
+    """ln u by math.log, as the scalar sums take it; -inf at u = 0, the Kronecker row."""
+    return math.log(u) if u else -math.inf
+
+
+def _shifted_rows(log_g: np.ndarray, n0: int, log_u) -> Iterator[tuple[np.ndarray, ...]]:
+    """(m, w, sum of w) per block of at most _BLOCK entries, one row per entry of
+    log_u = ln u, all from the ln g table log_g = ln g(n0..): each row's largest
+    log term m = max ln(u^n / g(n)) and its terms over it, w = exp(ln(u^n / g(n))
+    - m) for n = 0.., with n0 zeros first.  The one log-sum kernel, behind p(n), N,
+    ln T, the CLI grids, the truncated series (at u = |z|) and the zeros.  A term
+    more than -_LOG_UNDERFLOW below m stays 0.0, as exp would round it, without
+    numpy's slow underflow path."""
+    log_u = np.asarray(log_u, dtype=float)
+    n = np.arange(n0, n0 + len(log_g))
+    skip = int(n0 == 0)  # the n = 0 column stays 0: 0 ln u would be nan at u = 0
+    step = max(1, _BLOCK // len(log_g))
+    for i in range(0, len(log_u), step):
+        lt = np.zeros((min(step, len(log_u) - i), len(log_g)))
+        np.multiply(log_u[i:i + step, None], n[skip:], out=lt[:, skip:])
+        lt -= log_g
+        m = lt.max(axis=1, keepdims=True)
+        lt -= m
+        w = np.zeros((len(lt), n0 + len(log_g)))
+        np.exp(lt, out=w[:, n0:], where=lt > _LOG_UNDERFLOW)
+        yield m, w, w.sum(axis=1, keepdims=True)
 
 
 _TRIM = 1e-20   # a row's support: its nodes above this fraction of its largest

@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
 from .gseq import G1, MAX_TERMS, Factorial, GSequence, MLGamma, Table, WrightProduct
-from .specfun import QUAD_TOL, SERIES_ABS_TOL, truncated_series_scaled
+from .specfun import (_LN_MAX, _LOG_UNDERFLOW, QUAD_TOL, SERIES_ABS_TOL, _log_label,
+                      _shifted_rows, truncated_series_scaled)
 
 INFINITE = math.inf
 # ln of the tail bound, relative to the largest term, that ends a k = inf sum;
@@ -87,7 +87,7 @@ class StateSpec:
         probs.flags.writeable = False
         log_norm = m + math.log(total)
         # the sum itself can exceed the double range (e.g. exp(u^rho) growth)
-        return probs, math.exp(m) * total if log_norm < 709.0 else math.inf, log_norm
+        return probs, math.exp(m) * total if m < _LN_MAX else math.inf, log_norm
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,6 @@ class FockVector:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
 
 
-# exp(x) is exactly 0.0 below x = -745.14: a term this far below the largest
-# adds nothing to a row
-_LOG_UNDERFLOW = -746.0
 _FIRST_ROUND = 64  # terms of the level search's first round
 # rounds double up to here, then grow by a quarter: a round costs about as much
 # as 140 more ln g values, and past this a smaller round that overshoots the
@@ -216,36 +213,6 @@ def _log_g_table(seq: GSequence, k, log_u: float) -> tuple[int, np.ndarray]:
 def _from_zero(seq: GSequence, n0: int, log_g: np.ndarray) -> np.ndarray:
     """ln g(0..level) from a _log_g_table, for rows whose labels need the terms before n0."""
     return np.concatenate((seq.log_g_array(np.arange(n0)), log_g)) if n0 else log_g
-
-
-_BLOCK = 1 << 20  # entries of a row block built at once
-
-
-def _log_label(u: float) -> float:
-    """ln u by math.log, as the scalar sums take it; -inf at u = 0, the Kronecker row."""
-    return math.log(u) if u else -math.inf
-
-
-def _shifted_rows(log_g: np.ndarray, n0: int, log_u) -> Iterator[tuple[np.ndarray, ...]]:
-    """(m, w, sum of w) per block of at most _BLOCK entries, one row per entry of
-    log_u = ln u, all from the ln g table log_g = ln g(n0..): each row's largest
-    log term m = max ln(u^n / g(n)) and its terms over it, w = exp(ln(u^n / g(n))
-    - m) for n = 0.., with n0 zeros first.  The one kernel behind p(n), N, ln T
-    and the CLI grids.  A term more than -_LOG_UNDERFLOW below m stays 0.0, as
-    exp would round it, without numpy's slow underflow path."""
-    log_u = np.asarray(log_u, dtype=float)
-    n = np.arange(n0, n0 + len(log_g))
-    skip = int(n0 == 0)  # the n = 0 column stays 0: 0 ln u would be nan at u = 0
-    step = max(1, _BLOCK // len(log_g))
-    for i in range(0, len(log_u), step):
-        lt = np.zeros((min(step, len(log_u) - i), len(log_g)))
-        np.multiply(log_u[i:i + step, None], n[skip:], out=lt[:, skip:])
-        lt -= log_g
-        m = lt.max(axis=1, keepdims=True)
-        lt -= m
-        w = np.zeros((len(lt), n0 + len(log_g)))
-        np.exp(lt, out=w[:, n0:], where=lt > _LOG_UNDERFLOW)
-        yield m, w, w.sum(axis=1, keepdims=True)
 
 
 def normalization(spec: StateSpec) -> float:

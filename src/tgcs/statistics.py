@@ -10,12 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gseq import G1, AsymptoticFamily, AsymptoticTerm, GSequence, MLGamma, WrightProduct
-from .specfun import _log_sum_exp
+from .specfun import _LN_MAX, _log_sum_exp
 from .states import (INFINITE, ExcitationDistribution, StateSpec, _modulus_squared,
                      _truncation_level, excitation_distribution)
 
 BOUNDARY_TOL = 1e-12
-_LN_MAX = math.log(sys.float_info.max)
 _LN_MIN = math.log(sys.float_info.min)
 
 
@@ -236,7 +235,7 @@ def p_asymptotic(kind: MLGamma | WrightProduct | G1 | AsymptoticFamily, n: int,
             raise TypeError(f"unknown asymptotics kind: {kind!r}")
         log_p = (lead + n * log_u + x + (-e + 0.5) * math.log(x) - 0.5 * math.log(two_pi)
                  - log_c - math.log(norm) - log_ln)
-    if not log_p < 709.78:  # exp overflows past ln(DBL_MAX) = 709.78...; NaN fails too
+    if not log_p < _LN_MAX:  # NaN fails too
         raise ValueError(f"p(n) = exp({log_p}) is past the double range: "
                          "norm is not the normalization at u")
     return math.exp(log_p)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gseq import GSequence
-from .specfun import _scaled_exp
+from .specfun import _shifted_rows
 from .states import StateSpec
 
 MAX_DEGREE = 100
@@ -45,10 +45,9 @@ def polynomial_roots(seq: GSequence, k: int) -> RootSet:
         raise ValueError("polynomial_roots requires k >= 1")
     if k > MAX_DEGREE:
         raise RootFindingError(f"degree {k} exceeds the supported cap {MAX_DEGREE}")
-    n = np.arange(k + 1)
-    log_g = seq.log_g_array(n)
+    log_g = seq.log_g_array(np.arange(k + 1))
     log_s = (log_g[k] - log_g[0]) / k
-    _, coeff = _scaled_exp(n * log_s - log_g)  # ascending powers of y
+    (_, (coeff,), _), = _shifted_rows(log_g, 0, [log_s])  # ascending powers of y
     roots_y = np.roots(coeff[::-1])
 
     dcoeff = coeff[1:] * np.arange(1, k + 1)

@@ -8,24 +8,27 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tgcs
 from tgcs import cli, states
 from tgcs.cli import main
 from tgcs.completeness import MLWeight, WrightWeight, moment_check
-from tgcs.gseq import Factorial, GSequence
+from tgcs.gseq import MAX_TERMS, Factorial, GSequence
 from tgcs.sampler import sample_counts
 from tgcs.states import INFINITE, StateSpec, excitation_distribution, random_state_spec
 from tgcs.statistics import correlation_g2, mandel_q
 from tgcs.zeros import polynomial_roots
 
 ML_HALF = {"variant": "ml_gamma", "alpha": 0.5, "beta": 0.5}
+# every JSON scalar, as json.load gives it back (NaN and Infinity included)
+_JSON_SCALAR = (st.none() | st.booleans() | st.integers() | st.floats() | st.text())
 
 
 def write_config(tmp_path, name, cfg):
@@ -468,6 +471,14 @@ class TestVerifyAndErrors:
         assert main(["verify", "--config", cfg]) == 1
         assert "[FAIL]" in capsys.readouterr().out
 
+    def test_tol_leaves_the_sampler_bound(self, tmp_path, capsys):
+        # the sampler check's bound is 1 in units of 4 standard errors, not a
+        # residual tolerance: a tol override used to fail it below 0.4
+        cfg = write_config(tmp_path, "cfg.json", {"tol": 1e-3})
+        assert main(["verify", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "[FAIL]" not in out and "sampler-agreement" in out
+
     def test_json_is_strict(self, tmp_path):
         # mandel without a sweep has no parameter, an unreached tol no residual:
         # both are null, not NaN or Infinity
@@ -548,6 +559,35 @@ class TestVerifyAndErrors:
         path = write_config(tmp_path, "cfg.json", cfg)
         assert main([command, "--config", path]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @given(command=st.sampled_from(["probs", "mandel", "corr"]),
+           lo=_JSON_SCALAR, hi=_JSON_SCALAR,
+           # a valid count is capped at 64 points, for run time
+           points=st.one_of(st.integers(max_value=64), st.integers(min_value=MAX_TERMS),
+                            _JSON_SCALAR.filter(lambda x: type(x) is not int)),
+           scale=st.sampled_from(["linear", "log"]) | _JSON_SCALAR)
+    @settings(max_examples=150, deadline=None)
+    # a count that is no count: it used to run 2, 1 and 3 points, or end in numpy's
+    # _ArrayMemoryError; a bound that is no number; a span past the double range
+    @example(command="probs", lo=0.0, hi=1.0, points=2.5, scale="linear")
+    @example(command="probs", lo=0.0, hi=1.0, points=True, scale="linear")
+    @example(command="probs", lo=0.0, hi=1.0, points="3", scale="linear")
+    @example(command="corr", lo=0.0, hi=1.0, points=10 ** 12, scale="linear")
+    @example(command="mandel", lo=True, hi=1.0, points=3, scale="linear")
+    @example(command="probs", lo=-1e308, hi=1e308, points=3, scale="linear")
+    def test_any_json_grid_runs_or_is_refused(self, command, lo, hi, points, scale):
+        cfg = {"sequence": ML_HALF, "k": 3,
+               "z_grid": {"min": lo, "max": hi, "points": points, "scale": scale}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), "cfg.json", cfg)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([command, "--config", path])
+        assert rc == 0 or (rc == 2 and err.getvalue().startswith("config error: "))
+        valid = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (lo, hi))
+        if not (valid and isinstance(points, int) and not isinstance(points, bool)
+                and 1 <= points < MAX_TERMS and scale in ("linear", "log")):
+            assert rc == 2
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_non_finite_sequence_parameter_is_refused(self, tmp_path, capsys, alpha):

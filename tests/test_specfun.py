@@ -8,10 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tgcs.gseq import Factorial, MLGamma, WrightProduct
-from tgcs.specfun import (QuadratureError, _chebyshev, kratzel_kernel,
+from tgcs.gseq import G1, Factorial, MLGamma, WrightProduct
+from tgcs.specfun import (QuadratureError, _chebyshev, _shifted_rows, kratzel_kernel,
                           mittag_leffler, truncated_series_scaled, wright)
-from tgcs.states import _shifted_rows
 
 
 def mpmath_kratzel(lam: float, mu: float, u: float) -> float:
@@ -155,7 +154,7 @@ class TestTruncatedSeries:
             10 * math.log(1e200) - math.lgamma(11), rel=1e-12)
 
     def test_log_form(self):
-        # ln of the series, m + ln sum w from states' shifted rows, against the polynomial
+        # ln of the series, m + ln sum w from the shifted rows, against the polynomial
         seq = MLGamma(1.5, 0.5)
         u = np.array([3.0, 0.2])
         (m, _, total), = _shifted_rows(seq.log_g_array(np.arange(13)), 0, np.log(u))
@@ -165,6 +164,25 @@ class TestTruncatedSeries:
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             truncated_series(Factorial(), -1, 1.0)
+
+    @given(seq=st.sampled_from([Factorial(), MLGamma(0.3, 1.2), WrightProduct(0.5, 0.5),
+                                G1(1.0, 1.5, 0.8)]),
+           k=st.integers(0, 80), z=st.complex_numbers(max_magnitude=1e200))
+    @settings(max_examples=200, deadline=None)
+    @example(seq=Factorial(), k=10, z=0j)
+    @example(seq=MLGamma(0.3, 1.2), k=80, z=1e200)
+    @example(seq=WrightProduct(0.5, 0.5), k=40, z=-1e200j)
+    def test_scaled_form_is_the_plain_shifted_sum(self, seq, k, z):
+        # n ln|z| - ln g(n), shifted by its max, exp, times the phase, summed in
+        # ascending magnitude: bit for bit
+        n = np.arange(k + 1)
+        with np.errstate(invalid="ignore"):  # 0 * -inf at z = 0, where the term is 1/g(0)
+            lt = np.where(n > 0, n * (math.log(abs(z)) if z else -math.inf), 0.0)
+        lt -= seq.log_g_array(n)
+        mag = np.exp(lt - lt.max())
+        terms = mag * (z / abs(z) if z else 1.0) ** n
+        ref = complex(np.sum(terms[np.argsort(mag)])), float(lt.max())
+        assert repr(truncated_series_scaled(seq, k, z)) == repr(ref)
 
     @given(k=st.integers(1, 30), u=st.floats(1e-3, 50.0))
     @settings(max_examples=50, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tgcs import states
+from tgcs import specfun, states
 from tgcs.completeness import MLWeight
 from tgcs.gseq import Factorial, G1, GSequence, MLGamma, Table, WrightProduct
 from tgcs.specfun import _log_sum_exp, mittag_leffler, wright
@@ -153,6 +153,12 @@ class TestNormalization:
     def test_at_origin(self):
         assert normalization(StateSpec(MLGamma(2.0, 0.5), 7, 0.0)) == pytest.approx(
             1.0 / math.gamma(0.5), rel=1e-14)
+
+    @pytest.mark.parametrize("u", [709.5, 709.7])
+    def test_finite_up_to_the_double_range(self, u):
+        # N = e^u is a double up to u = 709.78; it used to read inf from ln N = 709 on
+        spec = StateSpec(Factorial(), INFINITE, math.sqrt(u))
+        assert normalization(spec) == pytest.approx(math.exp(u), rel=1e-12)
 
 
 class TestExcitationDistribution:
@@ -403,7 +409,7 @@ class TestShiftedRows:
     def test_rows_are_plain_exp_and_sum_to_ln_t(self, seq, size, block, case):
         n0, log_u = case
         log_g = seq.log_g_array(np.arange(n0, n0 + size))
-        with mock.patch.object(states, "_BLOCK", block):
+        with mock.patch.object(specfun, "_BLOCK", block):
             m, w, total = (np.concatenate(x) for x in zip(*states._shifted_rows(
                 log_g, n0, log_u)))
         n = np.arange(n0, n0 + size)

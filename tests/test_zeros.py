@@ -1,9 +1,12 @@
 """Truncation-polynomial zeros, Vieta identities and orthogonal state pairs."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tgcs.gseq import Factorial, G1, MLGamma, Table, WrightProduct
 from tgcs.states import overlap
@@ -15,6 +18,20 @@ ALL_VARIANTS = [Factorial(), MLGamma(0.5, 0.5), WrightProduct(0.5, 0.5),
 
 
 class TestPolynomialRoots:
+    @given(seq=st.sampled_from(ALL_VARIANTS), k=st.integers(1, MAX_DEGREE))
+    @settings(max_examples=60, deadline=None)
+    @example(seq=WrightProduct(0.5, 0.5), k=MAX_DEGREE)
+    def test_balanced_coefficients_are_the_plain_shifted_exp(self, seq, k):
+        # the coefficients of y = z / s, ln s = (ln g(k) - ln g(0)) / k, that the
+        # eigenvalue solve gets: n ln s - ln g(n), shifted by its max, exp; bit for bit
+        with mock.patch.object(np, "roots", wraps=np.roots) as roots:
+            polynomial_roots(seq, k)
+        n = np.arange(k + 1)
+        log_g = seq.log_g_array(n)
+        lt = n * ((log_g[k] - log_g[0]) / k) - log_g
+        coeff = roots.call_args.args[0][::-1]
+        assert coeff.tobytes() == np.exp(lt - lt.max()).tobytes()
+
     def test_factorial_k1(self):
         rs = polynomial_roots(Factorial(), 1)
         assert rs.roots == pytest.approx([-1.0])
