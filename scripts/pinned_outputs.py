@@ -19,6 +19,9 @@ pinned output prints the same hashes.  The groups:
   roots_overlaps     polynomial_roots roots and residuals of the factorial, g1, ML
                      and Wright sequences at k = 1..36, and overlap over a fixed
                      list of far-apart label pairs
+  budget_edge        k = inf specs at the largest |z| each of five sequences
+                     accepts within MAX_TERMS: the label, the level and ln N, and
+                     the refusal at the next double
 
 It takes about 15 s on 2 vCPUs.
 
@@ -92,6 +95,11 @@ OVERLAP_PAIRS = [(Factorial(), 10, 0.1, 1e100), (Factorial(), 7, 0.0, 1e50j),
                  (MLGamma(0.5, 0.5), 36, 1e-3, 300j), (MLGamma(0.3, 1.5), 12, -1e-8, 1e8 - 1e8j),
                  (WrightProduct(0.5, 0.5), 20, 1e150, -1e150),
                  (WrightProduct(0.7, 1.2), 1, 1e-300, 5.0 + 5.0j)]
+# (sequence, the largest z it accepts at k = inf), found by bisection on the doubles
+BUDGET_EDGE = [(Factorial(), 1443.3373913214566), (MLGamma(0.5, 1.0), 31.924384643984414),
+               (G1(0.0, 1.9, 0.6), 44.41789750710536),
+               (WrightProduct(0.2, 0.3), 5266.200449073403),
+               (MLGamma(0.2148531279075242, 2.016686133027092), 4.042856483409545)]
 
 
 def _refused(h, call):
@@ -192,8 +200,16 @@ def roots_overlaps(h):
         h.update(repr(value).encode())
 
 
+def budget_edge(h):
+    for seq, z in BUDGET_EDGE:
+        spec = StateSpec(seq, INFINITE, z)
+        level = len(excitation_distribution(spec).probs) - 1
+        h.update(repr((seq, z, math.log(spec.u), level, log_normalization(spec))).encode())
+        _refused(h, lambda: StateSpec(seq, INFINITE, math.nextafter(z, math.inf)))
+
+
 GROUPS = [figure_grids_csvs, verify, sampler, infinite_rows, weights, cli_infinite, quadrature,
-          roots_overlaps]
+          roots_overlaps, budget_edge]
 
 if __name__ == "__main__":
     for group in GROUPS:

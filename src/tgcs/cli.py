@@ -17,7 +17,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from . import completeness, sampler, states, statistics, zeros
+from . import completeness, sampler, statistics, zeros
 from .gseq import (MAX_TERMS, AuxFunction, Factorial, G1, GSequence, MLGamma, WrightProduct,
                    verify_mellin_link)
 from .specfun import QuadratureError, _log_label, _shifted_rows
@@ -99,12 +99,12 @@ def _grid(spec: dict[str, Any], name: str) -> np.ndarray:
 
 
 def _label_rows(seq: GSequence, k, zgrid: np.ndarray):
-    """specfun._shifted_rows at ln u = ln |z|^2 of each label, from n = 0 and one ln g
-    table, the spec's at the largest label (StateSpec._table, which at k = inf
-    serves every smaller label too); what that spec refuses, the grid does."""
+    """specfun._shifted_rows at ln u = ln |z|^2 of each label, from n = 0 to the level
+    of the spec at the largest label (StateSpec._span, which at k = inf serves every
+    smaller label too); what that spec refuses, the grid does."""
     spec = _spec(seq, k, complex(zgrid[np.argmax(np.abs(zgrid))]))
     log_u = [_log_label(abs(r) ** 2) for r in zgrid.tolist()]
-    return _shifted_rows(states._from_zero(seq, *spec._table), 0, log_u)
+    return _shifted_rows(seq.log_g_array(np.arange(spec._span[1] + 1)), 0, log_u)
 
 
 def _label_moments(seq: GSequence, k, zgrid: np.ndarray, falling: bool):
@@ -273,8 +273,9 @@ def cmd_sample(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
     except TypeError as exc:
         raise ConfigError(f"z must be an object with numbers re and im: {exc}") from exc
     n_samples = _count(cfg.get("n_samples"), "n_samples")
-    if n_samples < 1:
-        raise ConfigError("sample requires a positive integer n_samples")
+    if not 1 <= n_samples <= sampler.MAX_SAMPLES:
+        raise ConfigError(f"sample requires an integer n_samples in [1, {sampler.MAX_SAMPLES}], "
+                          f"got {n_samples}")
     seed = _count(cfg.get("seed", 0), "seed")
     dist = excitation_distribution(_spec(seq, k, z))
     run = sampler.sample_counts(dist, n_samples, seed)

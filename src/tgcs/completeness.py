@@ -11,7 +11,7 @@ import numpy as np
 from . import specfun
 from .gseq import (AuxFunction, Factorial, GSequence, MLGamma, MomentReport, WrightProduct,
                    _moment_report)
-from .states import INFINITE, _from_zero, _log_g_table, _truncation_level
+from .states import INFINITE, _span, _truncation_level
 
 
 class WeightFunction:
@@ -25,8 +25,8 @@ class WeightFunction:
     k: float  # nonnegative int, or INFINITE
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _truncation_level(self.k))
-        self.seq  # builds the sequence: bad parameters fail here, not inside a sum
+        # builds the sequence: bad parameters fail here, not inside a sum
+        object.__setattr__(self, "k", _truncation_level(self.k, self.seq))
 
     def _log_factor(self, t: np.ndarray) -> np.ndarray:
         """ln F at u = exp(t)."""
@@ -40,7 +40,8 @@ class WeightFunction:
     def _log_normalization(self, t: np.ndarray) -> np.ndarray:
         """ln T = m + ln sum w at u = exp(t), from specfun._shifted_rows; DivergenceError
         where a k = inf series would need more than MAX_TERMS terms."""
-        log_g = _from_zero(self.seq, *_log_g_table(self.seq, self.k, float(np.max(t))))
+        level = _span(self.seq, self.k, float(np.max(t)))[1]
+        log_g = self.seq.log_g_array(np.arange(level + 1))
         return np.concatenate([(m + np.log(total))[:, 0] for m, _, total in specfun._shifted_rows(
             log_g, 0, np.ravel(t))]).reshape(np.shape(t))[()]
 

@@ -38,6 +38,8 @@ def _q_from_sums(s1, s2, n: float):
 # draws made at once: 8 bytes each.  PCG64 gives the same stream in chunks, so
 # the counts do not depend on it; 2^20 keeps `tgcs verify`'s 10^6 draws in one
 _CHUNK = 1 << 20
+# the most draws a run makes: about 11 s of chunks on one core
+MAX_SAMPLES = 1 << 30
 # how far the probabilities' sum may miss 1
 _SUM_TOL = 1e-6
 
@@ -57,10 +59,11 @@ def sample_counts(dist: ExcitationDistribution, n_samples: int, seed: int) -> Sa
     touched.  Refused with ValueError: a negative or NaN probability,
     probabilities summing to 1 no closer than _SUM_TOL, a seed that is not an
     integer (None would draw OS entropy), and an n_samples that is not an
-    integer >= 1.
+    integer in [1, MAX_SAMPLES].
     """
-    if not _is_int(n_samples) or n_samples < 1:
-        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    if not _is_int(n_samples) or not 1 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"n_samples must be an integer in [1, {MAX_SAMPLES}], "
+                         f"got {n_samples!r}")
     if not _is_int(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     probs = np.asarray(dist.probs)

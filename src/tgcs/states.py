@@ -19,21 +19,26 @@ _LOG_TAIL_TOL = math.log(SERIES_ABS_TOL * 1e-4)
 
 
 class DivergenceError(ValueError):
-    """The infinite-k normalization series fails its convergence probe."""
+    """The infinite-k normalization series has no level within MAX_TERMS terms, or
+    its sequence is a finite Table."""
 
 
 class IncompatibleSpecError(ValueError):
     """Two state specs do not share the sequence/truncation needed by an overlap."""
 
 
-def _truncation_level(k) -> float:
-    """k as a state or weight holds it: INFINITE, or an int in [0, MAX_TERMS), the
-    term budget that a k = inf sum gets too."""
+def _truncation_level(k, seq: GSequence) -> float:
+    """k as a state or weight of seq holds it: INFINITE, or an int in [0, MAX_TERMS), the
+    term budget that a k = inf sum gets too; a Table's k is finite and below its length."""
     if k == INFINITE:
+        if isinstance(seq, Table):
+            raise DivergenceError("Table sequences have finite domain; k must be finite")
         return INFINITE
     if not (0 <= k < MAX_TERMS and k == int(k)):  # NaN fails every comparison
         raise ValueError(f"k must be a nonnegative integer below {MAX_TERMS}, or INFINITE, "
                          f"got {k}")
+    if isinstance(seq, Table) and k >= len(seq.values):
+        raise ValueError(f"k = {k} runs past the end of the Table ({len(seq.values)} values)")
     return int(k)
 
 
@@ -55,14 +60,8 @@ class StateSpec:
 
     def __post_init__(self):
         _modulus_squared(self.z)
-        object.__setattr__(self, "k", _truncation_level(self.k))
-        if self.k == INFINITE:
-            if isinstance(self.seq, Table):
-                raise DivergenceError("Table sequences have finite domain; k must be finite")
-            self._table  # built here, so that a diverging series is refused here
-        elif isinstance(self.seq, Table) and self.k >= len(self.seq.values):
-            raise ValueError(f"k = {self.k} runs past the end of the Table "
-                             f"({len(self.seq.values)} values)")
+        object.__setattr__(self, "k", _truncation_level(self.k, self.seq))
+        self._span  # searched here, so that a diverging series is refused here
 
     @property
     def u(self) -> float:
@@ -70,18 +69,17 @@ class StateSpec:
         return abs(self.z) ** 2
 
     @cached_property  # kept in the instance __dict__, outside eq, hash and repr
-    def _table(self) -> tuple[int, np.ndarray]:
-        """(n0, ln g(n0..level)), the _log_g_table of the spec's row: at k = inf the
-        one its label needs, built with the spec; _row releases it."""
-        return _log_g_table(self.seq, self.k, _log_label(self.u))
+    def _span(self) -> tuple[int, int]:
+        """(n0, level) of the spec's row, from _span at its label."""
+        return _span(self.seq, self.k, _log_label(self.u))
 
     @cached_property
     def _row(self) -> tuple[np.ndarray, float, float]:
         """(p(0..k) read-only, N, ln N) from _shifted_rows at the spec's label, once,
-        from _table, which it then releases."""
-        n0, log_g = self._table
+        on ln g(n0..level)."""
+        n0, level = self._span
+        log_g = self.seq.log_g_array(np.arange(n0, level + 1))
         (m, w, total), = _shifted_rows(log_g, n0, [_log_label(self.u)])
-        object.__delattr__(self, "_table")  # the frozen class refuses del
         m, total = float(m[0, 0]), float(total[0, 0])
         probs = w[0] / total
         probs.flags.writeable = False
@@ -106,113 +104,64 @@ class FockVector:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
 
 
-_FIRST_ROUND = 64  # terms of the level search's first round
-# rounds double up to here, then grow by a quarter: a round costs about as much
-# as 140 more ln g values, and past this a smaller round that overshoots the
-# level wastes less than its extra rounds cost
-_DOUBLING = 2048
-# the budget probe's geometric grid of n, up to the last term MAX_TERMS allows
-_PROBE_GRID = np.concatenate(([0], 2 ** np.arange((MAX_TERMS - 1).bit_length()),
-                              [MAX_TERMS - 2, MAX_TERMS - 1]))
+def _first(holds, lo: int, end: int) -> int | None:
+    """The first n in [lo, end] where holds(n), a predicate that stays true once
+    it is true; None if it is false at end.  An unbounded search (Bentley & Yao,
+    Inf. Process. Lett. 5, 1976): steps from lo that double until one lands where
+    holds, then bisection, about 2 log2(n - lo + 2) calls of holds."""
+    prev, n, step = lo - 1, lo, 1  # holds is false at prev
+    while not holds(n):
+        if n == end:
+            return None
+        prev, n, step = n, min(n + step, end), 2 * step
+    while n - prev > 1:
+        mid = (prev + n) // 2
+        prev, n = (prev, mid) if holds(mid) else (mid, n)
+    return n
 
 
-def _check_term_budget(seq: GSequence, log_u: float) -> int:
-    """Refuse a k = inf series at ln u = log_u whose _log_g_table search would not
-    end in MAX_TERMS terms; else return n0, where the search can start: every
-    term before it is 0.0 in the row.
+def _span(seq: GSequence, k, log_u: float) -> tuple[int, int]:
+    """(n0, level): the terms u^n / g(n), u = exp(log_u), that a row sums are those
+    of n0..level, every term before n0 being 0.0 in the row.  (0, k) at finite
+    k, (0, 0) at u = 0.
 
-    The terms u^n / g(n) of every parametric variant are log-concave in n
-    (ln g is convex), so once the search's stopping rule holds it holds at
-    every later n: the search succeeds exactly when the rule holds at
-    n = MAX_TERMS - 1.  The largest term it compares with is first bounded
-    below on a geometric grid of n, and only when that does not settle the
-    rule found by bisection on the increments.  The terms rise up to their
-    peak, so n0 is the last grid point left of the grid's largest term that
-    lies more than -_LOG_UNDERFLOW below it (0 if none does).
-    """
-    def log_terms(n) -> np.ndarray:
-        n = np.asarray(n)
-        return n * log_u - seq.log_g_array(n)
-
-    last = MAX_TERMS - 1
-    lt = log_terms(_PROBE_GRID)
-    top = int(np.argmax(lt))
-    # the terms left of the largest rise, so those far below it come first
-    below = np.count_nonzero(lt[:top] < lt[top] + _LOG_UNDERFLOW)
-    n0 = int(_PROBE_GRID[below - 1]) if below else 0
-    ratio = lt[-1] - lt[-2]
-    if ratio < 0:
-        limit = lt[-1] - np.log1p(-np.exp(ratio)) - _LOG_TAIL_TOL
-        if lt[top] > limit:
-            return n0
-        lo, hi = 0, last  # the first falling n lies in (lo, hi]; the peak is just before it
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            a, b = log_terms([mid - 1, mid])
-            lo, hi = (lo, mid) if b < a else (mid, hi)
-        if log_terms([hi - 1])[0] > limit:
-            return n0
-    raise DivergenceError(
-        f"normalization series needs more than {MAX_TERMS} terms for u={math.exp(log_u):g}")
-
-
-def _log_g_table(seq: GSequence, k, log_u: float) -> tuple[int, np.ndarray]:
-    """(n0, ln g(n0..level)) for rows up to ln u = log_u, every term before n0 being
-    0.0 in such a row: k + 1 values from n0 = 0 at finite k, ln g(0) at u = 0.  The
-    terms u^n / g(n) are log-concave in n, so with _from_zero the table serves
-    every smaller u too.
-
-    At k = inf the level is the first n where the tail of the terms is below
-    _LOG_TAIL_TOL of the largest, the tail past a decreasing term bounded by the
-    geometric series of its ratio to the previous one.  ln g is computed a round
-    at a time.  Unless the first round, of _FIRST_ROUND terms, settles the
-    series, the term budget is checked (DivergenceError) and the search goes on,
-    from the budget's n0 when that lies past the round.  Rounds double up to
-    _DOUBLING terms and grow by a quarter past it.  Past the peak the ratio of
-    consecutive terms never rises (ln g is convex), so the tail bound falls at
-    least linearly, and a round ends where that already makes the rule hold.
+    At k = inf the terms are log-concave in n (ln g is convex), so each bound is
+    where a monotone predicate on the scalar ln g first holds (_first): the peak
+    is the first n whose next term is smaller, the level the first n past it
+    where the tail, bounded by the geometric series of the ratio of its term to
+    the previous one, is below _LOG_TAIL_TOL of the peak's term, and n0 the
+    first n whose term is within -_LOG_UNDERFLOW of the peak's, as
+    specfun._shifted_rows compares.  DivergenceError if the terms have no peak
+    or no level below MAX_TERMS.
     """
     if k != INFINITE or log_u == -math.inf:
-        return 0, seq.log_g_array(np.arange(1 if k == INFINITE else k + 1))
-    n0 = start = 0
-    while start < MAX_TERMS:
-        if start == n0:  # a search from n0, no term before it: the rule applies after it
-            chunks, best, prev, slope, reach = [], -math.inf, math.nan, math.nan, math.nan
-        stop = min(max(2 * start if start < _DOUBLING else start + start // 4, _FIRST_ROUND),
-                   MAX_TERMS)
-        if slope < 0:  # the rule holds by n = start + gap
-            gap = (reach - _LOG_TAIL_TOL - best) / -slope
-            if gap < stop - start - 1:
-                stop = start + 1 + int(gap)
-        n = np.arange(start, stop)
-        chunks.append(seq.log_g_array(n))
-        lt = np.concatenate(([prev], n * log_u - chunks[-1]))  # from start - 1
-        ratio = lt[1:] - lt[:-1]
-        lt = lt[1:]
-        falling = np.flatnonzero(ratio < 0)
-        prev = float(lt[-1])
-        if not falling.size:  # the terms rise: the last is the largest
-            best = max(best, prev)
-        else:  # the rule holds only where the terms fall
-            best_n = np.maximum.accumulate(np.maximum(lt, best))
-            tail = lt[falling] - np.log1p(-np.exp(ratio[falling]))
-            done = falling[tail < _LOG_TAIL_TOL + best_n[falling]]
-            if done.size:
-                return n0, np.concatenate(chunks)[:start - n0 + done[0] + 1]
-            if falling[-1] == len(lt) - 1:
-                slope, reach = float(ratio[-1]), float(tail[-1])
-            best = float(best_n[-1])
-        start = stop
-        if start == _FIRST_ROUND:  # the first round left the series open
-            skip = _check_term_budget(seq, log_u)
-            if skip > start:
-                n0 = start = skip
-    raise DivergenceError(f"no effective truncation level within {MAX_TERMS} terms")
+        return 0, (0 if k == INFINITE else k)
 
+    def term(n: int) -> float:
+        return n * log_u - seq._log_g(n)
 
-def _from_zero(seq: GSequence, n0: int, log_g: np.ndarray) -> np.ndarray:
-    """ln g(0..level) from a _log_g_table, for rows whose labels need the terms before n0."""
-    return np.concatenate((seq.log_g_array(np.arange(n0)), log_g)) if n0 else log_g
+    # the tail rule against the peak's term, by numpy's exp and log1p, not math's,
+    # which differ in the last bit on some values: so the level is the one a
+    # search over a whole ln g table array gives
+    def settled(n: int) -> bool:
+        t = term(n)
+        if t >= bound:  # the tail is at least t
+            return False
+        e = np.exp(t - term(n - 1))
+        return e < 1 and t - np.log1p(-e) < bound  # no bound on the tail where e is 1
+
+    last = MAX_TERMS - 1
+    peak = _first(lambda n: term(n + 1) < term(n), 0, last - 1)
+    if peak is not None:
+        top = term(peak)
+        bound = _LOG_TAIL_TOL + top
+        level = _first(settled, peak + 1, last)
+        if level is not None:
+            # not term(n) > top + _LOG_UNDERFLOW: where |top| is past about 7e18,
+            # that sum rounds to top and the peak itself would fail the test
+            return _first(lambda n: term(n) - top > _LOG_UNDERFLOW, 0, peak), level
+    raise DivergenceError(
+        f"normalization series needs more than {MAX_TERMS} terms for u={math.exp(log_u):g}")
 
 
 def normalization(spec: StateSpec) -> float:

@@ -104,7 +104,7 @@ def mandel_q_closed_form(seq: GSequence, k: int, u: float) -> float:
     At k = 1 the first series is empty and Q_1 = -g(0) u / (g(1) + g(0) u).
     """
     log_u = math.log(_label(u))
-    k = _truncation_level(k)
+    k = _truncation_level(k, seq)
     if not 1 <= k < INFINITE:
         raise ValueError("closed form requires a finite k >= 1")
     log_g = seq.log_g_array(np.arange(k + 1))
@@ -135,7 +135,7 @@ def q_small_label_sign(seq: GSequence, k) -> SmallLabelSign:
 
     The ratios r2 = g0 g2 / g1^2 and r3 = g0 g3 / (g1 g2) are read as sums of
     ln g, so that g itself may lie past the double range."""
-    if _truncation_level(k) < 2:
+    if _truncation_level(k, seq) < 2:
         raise ValueError("the small-label sign conditions require k >= 2")
     l0, l1, l2 = seq.log_g_array(np.arange(3))
     ln_r2 = l0 + l2 - 2.0 * l1
@@ -174,7 +174,7 @@ def q2_zero_crossing(seq: GSequence) -> float | None:
 
 def q_large_label_approx(seq: GSequence, k: int, z: complex) -> float:
     """Two-term large-label form Q_k ~ -1 + g(k)/(k g(k-1)) |z|^-2."""
-    k = _truncation_level(k)
+    k = _truncation_level(k, seq)
     if not 2 <= k < INFINITE:
         raise ValueError("large-label approximation requires a finite k >= 2")
     u = _modulus_squared(z)

@@ -211,26 +211,17 @@ class TestGridRoute:
     @pytest.mark.parametrize("command", ["mandel", "corr"])
     @pytest.mark.parametrize("zmax", [1.0, 3.0, 8.0])
     def test_infinite_grid_computes_ln_g_once(self, tmp_path, monkeypatch, command, zmax):
-        # the grid extends the table that the spec at its largest label built to
-        # n = 0, so it evaluates ln g no more often than that spec's own
-        # distribution does, plus ln g(0..n0 - 1) for the rows at smaller labels;
-        # it used to compute the first 64-value round twice
+        # every row of the grid comes from one ln g table, n = 0 to the level of
+        # the spec at its largest label; the level search takes the scalar ln g
         seq = {"variant": "ml_gamma", "alpha": 0.5, "beta": 1.0}
-        n0 = states._log_g_table(GSequence.from_json(seq), INFINITE, math.log(zmax ** 2))[0]
+        level = states._span(GSequence.from_json(seq), INFINITE, math.log(zmax ** 2))[1]
         evaluated = []
         log_g_array = GSequence.log_g_array
         monkeypatch.setattr(GSequence, "log_g_array",
-                            lambda self, n: evaluated.append(np.size(n)) or log_g_array(self, n))
-        excitation_distribution(StateSpec(GSequence.from_json(seq), INFINITE, zmax))
-        alone = sum(evaluated)
-        evaluated.clear()
+                            lambda self, n: evaluated.append(n) or log_g_array(self, n))
         cfg = {"sequence": seq, "k": "inf", "z_grid": {"min": 0.0, "max": zmax, "points": 41}}
         assert _cli_bytes(tmp_path, command, cfg)[0] == 0
-        assert sum(evaluated) == alone + n0
-        if zmax == 1.0:  # the first round settles it: one round of 64 values, no probe
-            assert alone == 64
-        if zmax == 8.0:  # the search starts at n0 = 2048
-            assert (n0, alone + n0) == (2048, 9853)
+        assert [n.tolist() for n in evaluated] == [list(range(level + 1))]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -455,6 +446,14 @@ class TestSample:
         cfg = write_config(tmp_path, "cfg.json", {
             "sequence": {"variant": "factorial"}, "k": 5,
             "z": {"re": 0.5, "im": 0.0}, "n_samples": 10, key: value})
+        assert main(["sample", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_sample_count_past_the_budget_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.sampler, "sample_counts", None)  # no draw is made
+        cfg = write_config(tmp_path, "cfg.json", {
+            "sequence": {"variant": "factorial"}, "k": 5,
+            "z": {"re": 0.5, "im": 0.0}, "n_samples": 10 ** 12})
         assert main(["sample", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 

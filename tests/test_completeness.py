@@ -13,7 +13,7 @@ from tgcs import specfun
 from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight,
                                WeightFunction, WrightWeight, moment_check,
                                weight_radial_moment)
-from tgcs.gseq import G1, AuxFunction, MomentReport
+from tgcs.gseq import G1, AuxFunction, MomentReport, Table
 from tgcs.specfun import QuadratureError, _trapezoid, _window
 from tgcs.states import INFINITE, MAX_TERMS, DivergenceError
 
@@ -223,6 +223,13 @@ class TestTruncationLevel:
     def test_canonical_truncated_needs_a_finite_k(self):
         with pytest.raises(ValueError, match="finite k"):
             CanonicalTruncatedWeight(INFINITE)
+
+    @pytest.mark.parametrize("k, error", [(INFINITE, DivergenceError), (3, ValueError),
+                                          (10, ValueError)])
+    def test_a_table_it_cannot_sum_is_refused_at_construction(self, k, error):
+        # eval used to raise a bare IndexError from inside the row
+        with pytest.raises(error, match="Table"):
+            GeneralWeight(AuxFunction(), Table((1.0, 1.0, 2.0)), k)
 
     def test_an_integral_float_is_held_as_an_int(self):
         w = MLWeight(1.0, 1.0, 3.0)

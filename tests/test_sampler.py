@@ -148,6 +148,14 @@ class TestEstimators:
         with pytest.raises(ValueError, match="n_samples"):
             sample_counts(dist, n_samples, seed=1)
 
+    @pytest.mark.parametrize("n_samples", [sampler.MAX_SAMPLES + 1, 10 ** 12])
+    def test_rejects_a_sample_count_past_the_budget(self, monkeypatch, n_samples):
+        # 10^12 draws used to be made, about 3 hours of them
+        monkeypatch.setattr(np.random, "PCG64", None)  # a draw would fail with TypeError
+        dist = ExcitationDistribution(np.array([0.5, 0.5]), 1.0)
+        with pytest.raises(ValueError, match="n_samples"):
+            sample_counts(dist, n_samples, seed=1)
+
     @pytest.mark.parametrize("seed", [None, 1.5, True])
     def test_rejects_a_seed_that_is_no_integer(self, seed):
         # None drew OS entropy: no run could be repeated from its seed

@@ -275,20 +275,27 @@ class TestOneRowPerSpec:
             assert amplitudes(filled).tobytes() == amplitudes(fresh).tobytes()
 
 
-def _full_row(seq, u):
-    """(p, N, ln N) over the whole row n = 0..level with no term skipped, the level
-    being where the tail rule first holds on one ln g table from n = 0."""
-    log_u, size = math.log(u), 64
-    while True:
+def _full_terms(seq, log_u, cap=math.inf):
+    """ln(u^n / g(n)) over the whole row n = 0..level with no term skipped, the
+    level being where the tail rule first holds on one ln g table from n = 0
+    that doubles from 64 entries; None if that takes more than cap entries."""
+    size = 64
+    while size <= cap:
         n = np.arange(size)
         lt = n * log_u - seq.log_g_array(n)
         falling = np.flatnonzero(np.diff(lt) < 0) + 1
-        tail = lt[falling] - np.log1p(-np.exp(lt[falling] - lt[falling - 1]))
+        with np.errstate(divide="ignore"):  # an infinite bound where exp rounds to 1
+            tail = lt[falling] - np.log1p(-np.exp(lt[falling] - lt[falling - 1]))
         done = falling[tail < states._LOG_TAIL_TOL + np.maximum.accumulate(lt)[falling]]
         if done.size:
-            break
+            return lt[:done[0] + 1]
         size *= 2
-    lt = lt[:done[0] + 1]
+    return None
+
+
+def _full_row(seq, u):
+    """(p, N, ln N) from _full_terms."""
+    lt = _full_terms(seq, math.log(u))
     m = lt.max()
     w = np.exp(lt - m)
     total = w.sum()
@@ -296,8 +303,11 @@ def _full_row(seq, u):
     return w / total, math.exp(m) * total if log_norm < 709.0 else math.inf, log_norm
 
 
+_REF_CAP = 1 << 15  # the reference's table size, capped for its cost only
+
+
 class TestLevelSearch:
-    """A k = inf spec searches its level once, from where its terms can be nonzero."""
+    """A k = inf spec searches (n0, level) once, on the scalar ln g, when it is built."""
 
     PINNED = [StateSpec(G1(0.0, 1.9, 0.6), INFINITE, math.sqrt(300.0)),
               # 664 827 terms, nonzero from n = 582 109
@@ -322,68 +332,78 @@ class TestLevelSearch:
     def test_pinned_rows_equal_the_full_rows(self, spec):
         self._assert_full_row(spec)
 
-    def test_probe_runs_only_for_a_longer_series(self, monkeypatch):
-        calls = []
-        probe = states._check_term_budget
-        monkeypatch.setattr(states, "_check_term_budget",
-                            lambda *a: calls.append(a) or probe(*a))
-        short = StateSpec(Factorial(), INFINITE, 2.0)  # settles within 64 terms
-        assert calls == []
-        longer = StateSpec(Factorial(), INFINITE, 12.0)  # 270 terms
-        assert len(calls) == 1
-        excitation_distribution(short)
-        excitation_distribution(longer)
-        assert len(calls) == 1
+    @given(seq=st.one_of(
+               st.just(Factorial()),
+               st.builds(MLGamma, st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+               st.builds(WrightProduct, st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+               st.builds(G1, st.floats(0.0, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0))),
+           log_u=st.floats(-50.0, 50.0))
+    @settings(max_examples=100, deadline=None)
+    # |z| = 1 where ln g(1) - ln g(0) is so large that term(0) - 746 rounds to term(0)
+    @example(seq=G1(0.0, 1.8828465765993892e-128, 1.0), log_u=0.0)
+    # a first ratio that rounds exp to 1: its tail bound is infinite, not a warning
+    @example(seq=Factorial(), log_u=-3.660488813882164e-182)
+    def test_level_is_the_full_rows_level(self, seq, log_u):
+        lt = _full_terms(seq, log_u, _REF_CAP)
+        try:
+            n0, level = states._span(seq, INFINITE, log_u)
+        except DivergenceError:
+            assert lt is None
+            return
+        assert level == len(lt) - 1 if lt is not None else level >= _REF_CAP
+        assert 0 <= n0 <= level
 
     @staticmethod
-    def _search_calls(monkeypatch) -> list:
-        """The n of each log_g_array call from here on, the term budget probe's left out."""
-        seen, probing = [], []
-        log_g_array, probe = GSequence.log_g_array, states._check_term_budget
-        monkeypatch.setattr(GSequence, "log_g_array",
-                            lambda self, n: (probing or seen.append(n), log_g_array(self, n))[1])
-        monkeypatch.setattr(states, "_check_term_budget",
-                            lambda *a: (probing.append(a), probe(*a), probing.clear())[1])
+    def _calls(monkeypatch, cls, name) -> list:
+        """The n of each call cls.name(self, n) from here on."""
+        seen, f = [], getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, n: (seen.append(n), f(self, n))[1])
         return seen
 
-    def test_row_computes_ln_g_past_the_first_round_and_n0(self, monkeypatch):
-        seen = self._search_calls(monkeypatch)
-        short = StateSpec(Factorial(), INFINITE, 2.0)
-        excitation_distribution(short)
-        # the first round's table, built with the spec, serves the row
-        assert [n.tolist() for n in seen] == [list(range(64))]
-        assert "_table" not in vars(short)  # released once the row is built
+    @pytest.mark.parametrize("spec", [StateSpec(Factorial(), INFINITE, 2.0),
+                                      StateSpec(Factorial(), INFINITE, 12.0), *PINNED],
+                             ids=["short", "longer", "g1", "ml"])
+    def test_level_search_runs_once_at_construction(self, monkeypatch, spec):
+        seen = self._calls(monkeypatch, type(spec.seq), "_log_g")
+        fresh = StateSpec(spec.seq, spec.k, spec.z)
+        level = fresh._span[1]
+        # galloping and bisection on the scalar ln g: a few calls per doubling
+        assert not any(isinstance(n, np.ndarray) for n in seen)
+        assert 0 < len(seen) <= 11.3 * math.log2(level + 2)
         seen.clear()
-        longer = StateSpec(Factorial(), INFINITE, 12.0)
-        excitation_distribution(longer)
-        # the first round is reused; past the peak at n = 144 the last round ends
-        # near the level, 269, not at 511
-        assert seen[0].tolist() == list(range(64))
-        assert min(n[0] for n in seen[1:]) == 64 and max(n[-1] for n in seen) < 300
-        seen.clear()
-        g1 = StateSpec(G1(0.0, 1.9, 0.6), INFINITE, math.sqrt(300.0))
-        probs = excitation_distribution(g1).probs
-        assert seen[0].tolist() == list(range(64))
-        assert 64 < min(n[0] for n in seen[1:]) <= np.flatnonzero(probs)[0]
-        assert sum(n.size for n in seen[1:]) < len(probs)  # no ln g before n0
+        excitation_distribution(fresh)
+        log_normalization(fresh)
+        # the row reuses the span the spec found: one ln g array, no scalar
+        assert len(seen) == 1 and isinstance(seen[0], np.ndarray)
+
+    @pytest.mark.parametrize("spec", [StateSpec(Factorial(), INFINITE, 2.0),
+                                      StateSpec(Factorial(), INFINITE, 12.0), *PINNED],
+                             ids=["short", "longer", "g1", "ml"])
+    def test_row_computes_ln_g_from_n0_to_the_level(self, monkeypatch, spec):
+        seen = self._calls(monkeypatch, GSequence, "log_g_array")
+        fresh = StateSpec(spec.seq, spec.k, spec.z)
+        assert seen == []
+        probs = excitation_distribution(fresh).probs
+        n0, level = fresh._span
+        assert [n.tolist() for n in seen] == [list(range(n0, level + 1))]
+        assert len(probs) == level + 1
 
     def test_search_stops_at_max_terms(self, monkeypatch):
-        # Poisson terms at u = 4000 peak at n = 4000 and need about 4500; the
-        # probe, which would start the search at n0 = 1024, is set to start it at 0
+        # Poisson terms at u = 4000 peak at n = 4000 and need about 4500
         monkeypatch.setattr(states, "MAX_TERMS", 4096)
-        monkeypatch.setattr(states, "_check_term_budget", lambda seq, log_u: 0)
-        seen = self._search_calls(monkeypatch)
-        with pytest.raises(DivergenceError):
-            states._log_g_table(Factorial(), INFINITE, math.log(4000.0))
-        # each n once, in rounds that end at the cap
-        assert np.array_equal(np.concatenate(seen), np.arange(4096))
+        seen = self._calls(monkeypatch, GSequence, "log_g_array")
+        with pytest.raises(DivergenceError, match="more than 4096 terms"):
+            states._span(Factorial(), INFINITE, math.log(4000.0))
+        assert seen == []
 
     @pytest.mark.parametrize("spec", PINNED, ids=["g1", "ml"])
-    def test_table_from_zero_is_the_whole_table(self, spec):
-        n0, log_g = states._log_g_table(spec.seq, INFINITE, math.log(spec.u))
+    def test_n0_is_exact(self, spec):
+        n0, level = spec._span
         assert n0 > 0
-        whole = states._from_zero(spec.seq, n0, log_g)
-        assert whole.tobytes() == spec.seq.log_g_array(np.arange(n0 + len(log_g))).tobytes()
+        n = np.arange(level + 1)
+        lt = n * math.log(spec.u) - spec.seq.log_g_array(n)
+        top = lt.max()
+        assert lt[n0 - 1] - top <= specfun._LOG_UNDERFLOW < lt[n0] - top
 
 
 _LOG_U = st.floats(-800.0, 800.0)
