@@ -26,8 +26,9 @@ pinned output prints the same hashes.  The groups:
 It takes about 15 s on 2 vCPUs.
 
 A refused input hashes the type of its error, so a refusal that moves shows.
-`quadrature_values()` yields the quadrature group's values one by one, for a
-comparison of two checkouts that goes past the hash.
+`weights_values()` and `quadrature_values()` yield those groups' values one by
+one, for a comparison of two checkouts that goes past the hash: where a change
+moves a hash by design, the largest relative move in each group.
 """
 
 import contextlib
@@ -144,14 +145,25 @@ def infinite_rows(h):
         h.update(dist.probs.tobytes() + repr((dist.norm, log_normalization(spec), q, g2)).encode())
 
 
-def weights(h):
+def weights_values():
+    """(label, value) for each weights output: U at WEIGHT_U (or the type of its
+    refusal), then the radial moments."""
     for w in WEIGHTS:
-        h.update(w.label().encode())
-        values = _refused(h, lambda: w.eval(WEIGHT_U))
-        if values is not None:
-            h.update(values.tobytes())
+        try:
+            yield f"eval {w.label()}", w.eval(WEIGHT_U)
+        except ValueError as exc:
+            yield f"eval {w.label()}", type(exc).__name__
         for n in range(3 if w.k == INFINITE else min(3, w.k + 1)):
-            h.update(repr(weight_radial_moment(w, n)).encode())
+            yield f"radial {w.label()} n={n}", weight_radial_moment(w, n)
+
+
+def weights(h):
+    for label, value in weights_values():
+        if label.startswith("eval "):
+            h.update(label.removeprefix("eval ").encode())
+            h.update(f"refused {value}".encode() if isinstance(value, str) else value.tobytes())
+        else:
+            h.update(repr(value).encode())
 
 
 def cli_infinite(h):

@@ -149,26 +149,21 @@ class WrightWeight(WeightFunction):
     @property
     def _tails(self) -> tuple[float, float, float, float]:
         # Z ~ u^min(0, mu/lam - 1) as u -> 0 (a log factor at mu = lam), and
-        # ln Z ~ -(1 + 1/lam) (lam u)^(1/(1+lam)) + (mu - lam - 1/2)/(1 + lam) ln u
+        # ln Z ~ -(1 + 1/lam) (lam u)^(1/(1+lam)) + (mu - lam - 1/2)/(1 + lam) ln u; its
+        # coefficient written without 1/lam, which overflows below lam = 5.6e-309
         lam, mu = self.lam, self.mu
-        return ((1.0 + 1.0 / lam) * lam ** (1.0 / (1.0 + lam)), 1.0 + lam,
+        return ((1.0 + lam) * lam ** (-lam / (1.0 + lam)), 1.0 + lam,
                 min(1.0, mu / lam), 1.0 + max(mu - lam, 0.0) / (1.0 + lam))
 
     def _log_factor(self, t: np.ndarray) -> np.ndarray:
-        return specfun._kratzel(self.lam, self.mu, t, _KRATZEL_TOL)
+        return specfun._kratzel(self.lam, self.mu, t)
 
     def _cancelled_moments(self, n: np.ndarray, tol: float) -> np.ndarray:
-        # ln Z once per Chebyshev point of the rows' union window, not once per
-        # outer node: the same trapezoid rows on its interpolant.  Where the
-        # interpolant is refused (ln Z noisier than its chop test, or a kernel row
-        # refused, as at small lam and mu), ln Z once per outer node
-        lo, hi = specfun._window(*self._tails, n)
-        try:
-            log_z = specfun._chebyshev(self._log_factor, lo.min(), hi.max())
-        except specfun.QuadratureError:
-            return super()._cancelled_moments(n, tol)
-        return specfun._trapezoid(lambda t, n: np.exp(log_z(t) + (n + 1.0) * t),
-                                  tol, lo, hi, n)
+        # the check's one route: ln Z once per Chebyshev point of the rows' union
+        # window, not once per outer node, and the same trapezoid rows on its interpolant
+        window = specfun._window(*self._tails, n)
+        log_z = specfun._chebyshev(self._log_factor, window[0].min(), window[1].max())
+        return specfun._trapezoid(lambda t, n: np.exp(log_z(t) + (n + 1.0) * t), tol, *window, n)
 
 
 @dataclass(frozen=True)
@@ -184,13 +179,6 @@ class GeneralWeight(WeightFunction):
 
     def _log_factor(self, t: np.ndarray) -> np.ndarray:
         return self.f.nu * t - self.f.w * np.exp(self.f.rho * t)
-
-
-# tolerance of the Kraetzel kernel in the Wright factor: for lam, mu in (0.5, 1) the
-# halving meeting it leaves errors far below it, and the Wright moments come within
-# 2.9e-14 of g(n), the error of the ln Z interpolant.  At small lam it can be missed:
-# 2.7e-7 in ln Z at lam = 0.076, mu = 0.031, u = e^-16.8
-_KRATZEL_TOL = 5e-10
 
 
 def weight_radial_moment(w: WeightFunction, n: int) -> float:

@@ -30,7 +30,7 @@ class SeriesConvergenceError(RuntimeError):
 class QuadratureError(RuntimeError):
     """Raised when an improper integral does not reach the requested accuracy."""
 
-    def __init__(self, message: str, value: float, error: float):
+    def __init__(self, message: str, value: float = math.nan, error: float = math.inf):
         super().__init__(f"{message} (best estimate {value!r}, error estimate {error!r})")
         self.value = value
         self.error = error
@@ -160,66 +160,73 @@ def _shifted_rows(log_g: np.ndarray, n0: int, log_u) -> Iterator[tuple[np.ndarra
 
 
 _TRIM = 1e-20   # a row's support: its nodes above this fraction of its largest
-_HALVINGS = 10  # of the step 0.5
+_HALVINGS = 10  # of a row's starting step
+_NODES = 1 << 22  # the most nodes one pass of _trapezoid samples
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny) / _EPS  # below it, rounding is not relative
 
 
+@np.errstate(all="ignore")  # inf ends, as at s_left = 0; NaN ones from inf * 0
 def _window(c: float, p: float, s_left: float, s_right: float,
-            n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            n: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The t window of F u^(n+1) ~ e^((s_left + n) t) (t -> -inf), ~ e^((s_right + n) t
-    - c e^(t/p)) (t -> inf): from e^-60 below the decay's onset c e^(t/p) = 1 to where
-    the right tail falls below e^-800, both ends clipped to the double range +-700.
-    QuadratureError where no window is left: both ends past one side, or an end NaN
-    (p or s_right + n infinite)."""
+    - c e^(t/p)) (t -> inf), and its starting step: from e^-60 below the decay's onset
+    c e^(t/p) = 1 to where the right tail falls below e^-800, both ends clipped to the double
+    range +-700, and min(0.5, p/2), which resolves the cliff of width p.  QuadratureError
+    where no window is left: both ends past one side, or an end NaN (p or s_right + n infinite)."""
     s = s_right + n
     hi = np.full(np.shape(s), p * math.log(800.0 / c))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf ends; NaN ones from inf * 0
-        for _ in range(8):  # to the fixed point from below, each step p s / (800 + s t) closer
-            hi = p * np.log((800.0 + np.maximum(s * hi, 0.0)) / c)
+    for _ in range(8):  # to the fixed point from below, each step p s / (800 + s t) closer
+        hi = p * np.log((800.0 + np.maximum(s * hi, 0.0)) / c)
     lo, hi = np.maximum(-60.0 / (s_left + n) - p * math.log(c), -700.0), np.minimum(hi, 700.0)
     if not (lo < hi).all():  # NaN too; else each end lies in [-700, 700]
-        raise QuadratureError("window: the integrand lies outside the double range",
-                              math.nan, math.inf)
-    return lo, hi
+        raise QuadratureError("window: the integrand lies outside the double range")
+    return lo, hi, min(0.5, p / 2.0)
 
 
 @np.errstate(all="ignore")  # an f that overflows or gives NaN is refused below
-def _trapezoid(f, tol: float, lo, hi, *params) -> np.ndarray:
+def _trapezoid(f, tol: float, lo, hi, step, *params) -> np.ndarray:
     """[integrals, error estimates] of f over [lo, hi] on the log axis t = ln u.
 
     The one quadrature behind every integral of the package.  One row per
-    entry of lo, hi and params, each window its caller's (_window, from the
-    integrand's tails); f(t, *p) takes a flat array of nodes and each
-    parameter repeated at its row's nodes.  One grid of step about 0.5 trims
-    each row to its nodes above _TRIM of its largest, plus two each side (so
-    that a zero of f at a node does not cut off a lobe beyond it); then h
-    halves until the change in a row's sum, plus the rounding floor
-    eps * |sum|, is within tol of the sum.  On these analytic integrands,
-    which decay exponentially or doubly exponentially in t, the rule
-    converges exponentially in 1/h once the window holds the support
-    (Trefethen & Weideman, SIAM Rev. 56, 2014).  Raises QuadratureError on a
-    non-finite f, on a row whose peak is in (0, _TINY] (rounding is not
+    entry of lo, hi, step and params, each window and starting step its
+    caller's (_window, from the integrand's tails); f(t, *p) takes a flat array
+    of nodes and each parameter repeated at its row's nodes.  One grid of
+    about that step trims each row to its nodes above _TRIM of its largest,
+    plus two each side (so that a zero of f at a node does not cut off a lobe
+    beyond it); then h halves until the change in a row's sum, plus the
+    rounding floor eps * |sum|, is within tol of the sum.  On these analytic
+    integrands, which decay exponentially or doubly exponentially in t, the
+    rule converges exponentially in 1/h once the window holds the support and
+    h resolves the decay (Trefethen & Weideman, SIAM Rev. 56, 2014).  Raises
+    QuadratureError on an empty window, on a pass of more than _NODES nodes,
+    on a non-finite f, on a row whose peak is in (0, _TINY] (rounding is not
     relative there; a row of zeros gives 0), on a change at the rounding floor
     that misses tol, after _HALVINGS halvings, and where the window cuts off a
     tail: f at an end is above _TRIM of its peak, and the exponential through
     that end and its neighbour on the finest grid leaves more than tol * |sum|
     outside (an end where f does not fall outward leaves an unbounded tail).
     """
-    lo, hi, *params = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi, *params)))
+    lo, hi, step, *params = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi, step, *params)))
+    if not (lo < hi).all():  # NaN too; a peak narrower than the rounding of t
+        raise QuadratureError("trapezoid: an empty window")
 
     def sample(idx, start, step, count):  # f at start + step * j, j < count, rows idx
+        if not count.sum() <= _NODES:  # inf too; as floats, before a huge count wraps
+            raise QuadratureError(f"trapezoid: a pass of more than {_NODES} nodes")
+        count = count.astype(int)
         r = np.repeat(idx, count)
         j = np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)
         v = f(start[r] + step[r] * j, *(p[r] for p in params))
         if not math.isfinite(v.sum()):
-            raise QuadratureError("trapezoid: integrand not finite", math.nan, math.inf)
+            raise QuadratureError("trapezoid: integrand not finite")
         return r, j, v
 
-    n = np.maximum(np.ceil((hi - lo) / 0.5), 1).astype(int)
+    n = np.ceil((hi - lo) / step)  # >= 1 in a window that is not empty
     h = (hi - lo) / n
     r, j, v = sample(np.arange(lo.size), lo, h, n + 1)
+    n = n.astype(int)
     starts = np.cumsum(n + 1) - n - 1
     peak = np.maximum.reduceat(np.abs(v), starts)
     big = np.abs(v) > _TRIM * peak[r]
@@ -275,9 +282,6 @@ def _trapezoid(f, tol: float, lo, hi, *params) -> np.ndarray:
 
 _CHEB_TOL = 1e-12  # of the chop test, on the last eighth of the coefficients
 _CHEB_CAP = 2048   # the largest N of _chebyshev
-# the least fall of the chop tail across a doubling: an analytic f's tail falls by
-# orders of magnitude down to f's noise floor, and by a few at most along it
-_CHEB_FALL = 8.0
 _CHEB_BLOCK = 1 << 18  # elements of one (x, node) block of the interpolant
 
 
@@ -292,25 +296,24 @@ def _chebyshev(f, a: float, b: float):
     mirrored, a DCT-I.  The interpolant is the barycentric formula of the second
     kind, weights (-1)^j halved at the ends (Berrut & Trefethen, SIAM Rev. 46,
     2004), evaluated in blocks of _CHEB_BLOCK elements; at a node it gives f
-    there.  Raises QuadratureError on a non-finite f, where a doubling cuts the
-    tail by less than _CHEB_FALL (f's noise floor is above _CHEB_TOL) and where
-    N = _CHEB_CAP does not pass the test.
+    there.  Raises QuadratureError on a non-finite f and where N = _CHEB_CAP
+    does not pass the test.
     """
-    mid, half, n, last = (a + b) / 2.0, (b - a) / 2.0, 64, math.inf
+    mid, half, n = (a + b) / 2.0, (b - a) / 2.0, 64
     t = mid + half * np.cos(np.pi * np.arange(n + 1) / n)
     v = f(t)
     while True:
         if not np.isfinite(v).all():
-            raise QuadratureError("chebyshev: f not finite", math.nan, math.inf)
+            raise QuadratureError("chebyshev: f not finite")
         c = np.abs(np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real) / n
         tail = max(c[-(n // 8):-1].max(), c[-1] / 2.0)
         if tail <= _CHEB_TOL:
             break
-        if n >= _CHEB_CAP or tail * _CHEB_FALL > last:
+        if n >= _CHEB_CAP:
             raise QuadratureError(f"chebyshev: not resolved by {n} + 1 points", math.nan, tail)
         new = mid + half * np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n))
         t, v = (np.insert(old, np.arange(1, n + 1), add) for old, add in ((t, new), (v, f(new))))
-        n, last = 2 * n, tail
+        n *= 2
     w = (-1.0) ** np.arange(n + 1)
     w[[0, -1]] /= 2.0
     rows = max(1, _CHEB_BLOCK // t.size)
@@ -334,9 +337,10 @@ def _chebyshev(f, a: float, b: float):
 _KRATZEL_FLOOR = -1e9
 
 
-def _kratzel(lam: float, mu: float, log_u, tol: float) -> np.ndarray:
-    """ln of kratzel_kernel at u = exp(log_u), one trapezoid row per entry; -inf
-    for rows whose exponent lies below _KRATZEL_FLOOR.
+@np.errstate(all="ignore")  # a bound that overflows or is NaN: see the window below
+def _kratzel(lam: float, mu: float, log_u) -> np.ndarray:
+    """ln of kratzel_kernel at u = exp(log_u), one trapezoid row per entry at
+    QUAD_TOL; -inf for rows whose exponent lies below _KRATZEL_FLOOR.
 
     The exponent phi(t) = a t - e^(log_u - t) - e^(t/lam), a = mu/lam - 1, is
     concave.  Each row is shifted by phi at the better of two points: where the
@@ -344,7 +348,9 @@ def _kratzel(lam: float, mu: float, log_u, tol: float) -> np.ndarray:
     phi is within |a| max(1, lam) ln 2 of its maximum there.  With A, B the
     exponentials at that point, phi(t + d) - phi(t) = a d - A expm1(-d)
     - B expm1(d/lam) rounds like sqrt(A + B), not like A + B.  The window ends
-    where its quadratic or its exponential upper bound falls to -50.
+    where its quadratic or its exponential upper bound falls to -50; its step, at
+    lam/2 (0.5 at most), resolves the e^(t/lam) cliff.  QuadratureError where phi
+    there is not finite, as at mu/lam = 1e300.
     """
     a = mu / lam - 1.0
     shape, log_u = np.shape(log_u), np.ravel(log_u).astype(float)
@@ -356,6 +362,8 @@ def _kratzel(lam: float, mu: float, log_u, tol: float) -> np.ndarray:
     values = a * points - np.exp(log_u - points) - np.exp(points / lam)
     best = np.argmax(values, axis=0)[None]
     peak, shift = (np.take_along_axis(x, best, 0)[0] for x in (points, values))
+    if not (shift < math.inf).all():  # NaN too
+        raise QuadratureError("kratzel: ln of the kernel lies outside the double range")
     out = np.full(log_u.shape, -np.inf)
     rows = shift > _KRATZEL_FLOOR
     log_u, peak, shift = log_u[rows], peak[rows], shift[rows]
@@ -363,19 +371,18 @@ def _kratzel(lam: float, mu: float, log_u, tol: float) -> np.ndarray:
     slope = a + A - B / lam
     # the window is at most 700 (700 lam) wide on each side: expm1 stays finite
     big = np.log(50.0 + A + B + 700.0 * max(1.0, lam) * abs(a))
-    root = np.sqrt(slope ** 2 + 100.0 * B / lam ** 2)
     # A or B underflowed, or is small enough for its bound to overflow: no quadratic bound
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        left = (np.sqrt(slope ** 2 + 100.0 * A) - slope) / A
-        # the same value, without the cancellation of root + slope where slope < 0
-        right = np.where(slope < 0, 100.0 / (root - slope), (root + slope) * lam ** 2 / B)
+    root = np.hypot(slope, 10.0 * np.sqrt(B) / lam)
+    left = (np.hypot(slope, 10.0 * np.sqrt(A)) - slope) / A
+    # the same value, without the cancellation of root + slope where slope < 0
+    right = np.where(slope < 0, 100.0 / (root - slope), (root + slope) * (lam * lam) / B)
     # fmax/fmin drop a NaN bound: 0/0 where A or B underflowed and the slope is 0
     lo = np.fmax.reduce([peak - left, log_u - big, peak - 700.0])
     hi = np.fmin.reduce([peak + right, lam * big, peak + 700.0 * lam])
     integral = _trapezoid(
         lambda t, peak, A, B: np.exp(a * (t - peak) - A * np.expm1(peak - t)
                                      - B * np.expm1((t - peak) / lam)),
-        tol, lo, hi, peak, A, B)[0]
+        QUAD_TOL, lo, hi, min(0.5, lam / 2.0), peak, A, B)[0]
     out[rows] = shift + np.log(integral) - math.log(lam)
     return out.reshape(shape)
 
@@ -386,8 +393,10 @@ def kratzel_kernel(seq: "WrightProduct", u: float) -> float:
     Equals the H^{2,0}_{0,2} Fox-H special case whose Mellin transform is
     Gamma(s) Gamma(lam*s + mu - lam).  Evaluated on the v = exp(t) axis where
     the integrand decays doubly exponentially at both ends; 0 where the kernel
-    underflows.
+    underflows; QuadratureError where it overflows a double.
     """
     if not 0 < u < math.inf:  # NaN too
         raise ValueError("kratzel_kernel requires a finite u > 0")
-    return math.exp(_kratzel(seq.lam, seq.mu, math.log(u), QUAD_TOL))
+    if not (log_z := _kratzel(seq.lam, seq.mu, math.log(u)).item()) < _LN_MAX:
+        raise QuadratureError("kratzel_kernel: the kernel overflows a double", math.inf, math.nan)
+    return math.exp(log_z)

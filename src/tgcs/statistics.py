@@ -216,7 +216,9 @@ def p_asymptotic(kind: MLGamma | WrightProduct | G1 | AsymptoticFamily, n: int,
         # one term c u^-nu exp(-w u^rho) ln^l u (ML and G1 are such terms) gives 1/g(n) ~
         # rho^(l+1) w^e e^x x^(-e + 1/2) / (sqrt(2 pi) c ln^l (x/w)), x = n/rho,
         # e = (n+1-nu)/rho; x/w = u*^rho at the saddle point u* of the Mellin integrand
+        top = None  # n + 1 - nu, summed as G1 sums it: (n + 1) - (-nu) rounds otherwise
         if isinstance(kind, G1):  # u^nu e^(-w u^rho): the one term c = 1 at -nu
+            top = n + kind.nu + 1.0
             kind = AsymptoticFamily((AsymptoticTerm(1.0, -kind.nu, kind.w, kind.rho),))
         lead, log_c, log_ln = 0.0, 0.0, 0.0
         if isinstance(kind, MLGamma):
@@ -225,7 +227,9 @@ def p_asymptotic(kind: MLGamma | WrightProduct | G1 | AsymptoticFamily, n: int,
             t = kind.terms[kind.leading_index()]
             if t.c < 0:
                 raise ValueError("a negative leading coefficient gives no p(n) > 0")
-            x, e, log_c = n / t.rho, (n + 1.0 - t.nu) / t.rho, math.log(t.c)
+            if top is None:
+                top = n + 1.0 - t.nu
+            x, e, log_c = n / t.rho, top / t.rho, math.log(t.c)
             if t.l > 0:
                 if x / t.w <= 1.0:
                     raise ValueError("logarithm nonpositive: need n/(rho w) > 1 when l > 0")

@@ -13,7 +13,7 @@ from tgcs import specfun
 from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight,
                                WeightFunction, WrightWeight, moment_check,
                                weight_radial_moment)
-from tgcs.gseq import G1, AuxFunction, MomentReport, Table
+from tgcs.gseq import G1, AuxFunction, MomentReport, Table, WrightProduct
 from tgcs.specfun import QuadratureError, _trapezoid, _window
 from tgcs.states import INFINITE, MAX_TERMS, DivergenceError
 
@@ -22,7 +22,7 @@ EPS = float(np.finfo(float).eps)
 
 def improper(f, tol=1e-8):
     """int_0^inf f(u) du by specfun._trapezoid on t = ln u (Jacobian u)."""
-    return _trapezoid(lambda t: f(np.exp(t)) * np.exp(t), tol, -700.0, 700.0)[0, 0]
+    return _trapezoid(lambda t: f(np.exp(t)) * np.exp(t), tol, -700.0, 700.0, 0.5)[0, 0]
 
 
 class TestQuadratureImproper:
@@ -54,10 +54,10 @@ class TestQuadratureImproper:
     def test_window_that_cuts_off_a_tail_raises(self):
         # e^(-|t|/1000) is e^-0.7 at +-700, and its tails hold most of the integral
         with pytest.raises(QuadratureError, match="cuts off"):
-            _trapezoid(lambda t: np.exp(-np.abs(t) / 1000.0), 1e-8, -700.0, 700.0)
+            _trapezoid(lambda t: np.exp(-np.abs(t) / 1000.0), 1e-8, -700.0, 700.0, 0.5)
         # a rising end has an unbounded tail
         with pytest.raises(QuadratureError, match="cuts off"):
-            _trapezoid(lambda t: np.exp(t / 100.0), 1e-8, -700.0, 0.0)
+            _trapezoid(lambda t: np.exp(t / 100.0), 1e-8, -700.0, 0.0, 0.5)
 
     def test_clipped_end_with_a_small_tail_is_kept(self):
         # ML(2, 0.1) at n = 0: F u ~ e^(t/20) leaves the window at t = -700 at e^-35,
@@ -68,12 +68,12 @@ class TestQuadratureImproper:
 
     def test_window_ends_are_clipped_to_the_double_range(self):
         # rho^-1 = 1e300 put the right end at 7e300, past any grid numpy can build
-        lo, hi = _window(*AuxFunction(0.0, 1e-300, 1.0)._tails, np.arange(2))
+        lo, hi, _ = _window(*AuxFunction(0.0, 1e-300, 1.0)._tails, np.arange(2))
         assert np.all(-700.0 <= lo) and np.all(hi == 700.0)
 
     def test_identically_zero_row_gives_zero(self):
         # a row below _TINY but above 0 is refused (TestAuxFunction pins one)
-        assert _trapezoid(lambda t: np.zeros_like(t), 1e-8, -5.0, 5.0)[0, 0] == 0.0
+        assert _trapezoid(lambda t: np.zeros_like(t), 1e-8, -5.0, 5.0, 0.5)[0, 0] == 0.0
 
     @pytest.mark.parametrize("f", [AuxFunction(0.0, 5e-324, 1.0),  # rho^-1 * ln w = inf * 0
                                    AuxFunction(1e-7 - 1.0, 0.0135, 6.6e151)])
@@ -295,8 +295,9 @@ class TestWrightInterpolatedRoute:
     @given(lam=st.floats(math.log(0.05), math.log(5.0)),
            mu=st.floats(math.log(0.05), math.log(5.0)))
     @settings(max_examples=20, deadline=None)
-    # the direct route is 1.7e-10 off g(1) here, from the Kraetzel kernel at one outer
-    # node; the interpolant, 9e-15
+    # the direct route was 1.7e-10 off g(1) here, from a Kraetzel row at one outer node
+    # that stopped before its step resolved the e^(t/lam) cliff; both now come within
+    # 1e-14
     @example(lam=math.log(0.10628043254226659), mu=math.log(0.055814576302982484))
     def test_matches_the_direct_route(self, lam, mu):
         # lam and mu log-uniform in [0.05, 5]: both routes raise, or they agree within
@@ -326,6 +327,38 @@ class TestWrightInterpolatedRoute:
             return
         assert isinstance(rep, MomentReport)
 
+    def test_node_budget_refuses_a_huge_window(self):
+        # at lam = 1e12 the kernel rows run 700 lam = 7e14 to the right of their peaks:
+        # the first pass asked for 8.35 PiB of nodes and ended in MemoryError
+        with pytest.raises(QuadratureError, match="a pass of more than"):
+            moment_check(WrightWeight(1e12, 1.0), 1, 1e-6)
+
+    @given(lam=st.floats(0.0, exclude_min=True, allow_infinity=False),
+           mu=st.floats(0.0, exclude_min=True, allow_infinity=False))
+    @settings(max_examples=200, deadline=None)
+    @example(lam=1e-200, mu=1.0)  # a divide-by-zero warning in the kernel
+    # an overflow warning in the kernel, and a bare math domain error from the window
+    @example(lam=5e-324, mu=1.0)
+    @example(lam=1e-3, mu=1e3)  # the kernel's value ended in OverflowError
+    @example(lam=1.0, mu=5e-324)  # an overflow warning in the window's left end
+    @example(lam=1.0, mu=1e300)  # the kernel came back 0.0
+    def test_kernel_and_check_are_finite_or_refused(self, lam, mu):
+        # lam and mu from all positive floats: ValueError from the sequence, a finite
+        # kernel and a report, or QuadratureError; never a warning (pytest makes each an
+        # error) or another exception
+        try:
+            seq = WrightProduct(lam, mu)
+        except ValueError:
+            return
+        try:
+            assert math.isfinite(specfun.kratzel_kernel(seq, 2.0))
+        except QuadratureError:
+            pass
+        try:
+            assert isinstance(moment_check(WrightWeight(lam, mu), 1, 1e-6), MomentReport)
+        except QuadratureError:
+            pass
+
     def test_kratzel_window_end_that_is_nan_is_dropped(self):
         # rows near ln u = -195 peak at t_a, where B = e^(t_a/lam) underflows and the
         # slope is 0: the right end's quadratic bound is 0/0, which the window drops
@@ -335,9 +368,9 @@ class TestWrightInterpolatedRoute:
     def test_kratzel_rows_per_check(self, monkeypatch):
         rows, kratzel = [], specfun._kratzel
 
-        def counted(lam, mu, t, tol):
+        def counted(lam, mu, t):
             rows.append(np.size(t))
-            return kratzel(lam, mu, t, tol)
+            return kratzel(lam, mu, t)
 
         monkeypatch.setattr(specfun, "_kratzel", counted)
         w = WrightWeight(0.7, 0.8)
@@ -348,16 +381,23 @@ class TestWrightInterpolatedRoute:
         WeightFunction._cancelled_moments(w, np.arange(3), 1e-6)
         assert sum(rows) >= 500  # the direct route, once per outer node
 
-    def test_noisy_kernel_falls_back_to_the_direct_route(self):
-        # at lam = 0.076, mu = 0.031 the kernel's own error leaves its Chebyshev
-        # coefficients near 1e-11, above the chop test; the tail stops falling at
-        # N = 512, and the check falls back there, not at the cap
+    def test_small_lam_mu_resolve_on_the_interpolant(self):
+        # at lam = 0.076, mu = 0.031 the kernel's rows at step 0.5 stopped early on
+        # their e^(t/lam) cliff, 2.7e-7 off in ln Z: its Chebyshev tail stalled near
+        # 1e-11 and the check fell back to ln Z at every outer node.  At a step of
+        # lam/2 ln Z passes the chop test with 257 points
         w = WrightWeight(0.07640928619534303, 0.03115124714094506)
-        lo, hi = _window(*w._tails, np.arange(2))
-        with pytest.raises(QuadratureError, match="not resolved by 512"):
-            specfun._chebyshev(w._log_factor, lo.min(), hi.max())
-        assert np.array_equal(w._cancelled_moments(np.arange(2), 1e-6),
-                              WeightFunction._cancelled_moments(w, np.arange(2), 1e-6))
+        lo, hi, _ = _window(*w._tails, np.arange(2))
+        points = []
+
+        def log_z(t):
+            points.append(np.size(t))
+            return w._log_factor(t)
+
+        specfun._chebyshev(log_z, lo.min(), hi.max())
+        assert sum(points) <= 257
+        rep = moment_check(w, 1, 1e-6)
+        assert rep.passed and rep.max_residual <= 1e-13
 
 
 class TestSequenceOfAWeight:

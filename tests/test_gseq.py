@@ -227,6 +227,13 @@ class TestAuxFunction:
         with pytest.raises(QuadratureError):
             mellin_transform(f, 1.0)
 
+    def test_cliff_narrower_than_half_a_unit_is_resolved(self):
+        # the cliff e^(rho t) is 1/rho = 0.006 wide: rows started at step 0.5 met tol
+        # 1e-8 after a few halvings that had not resolved it, 2.2e-7 off
+        f, s = AuxFunction(-0.9762683246909462, 166.21739245408034, 2.0071097434714034e-14), \
+            1.0421724632598304
+        assert mellin_transform(f, s) == pytest.approx(mellin_closed_form(f, s), rel=1e-12)
+
     def test_integrand_below_relative_rounding_is_refused(self):
         # the exact 1e-295 has its peak below _TINY, where the step-0.5 sum was
         # returned unchecked: 1.000000011e-295, 1.1e-8 off against tol 1e-8
@@ -248,6 +255,9 @@ class TestAuxFunction:
     @example(nu=0.0, rho=5e-324, w=1.0, s=1.0)
     @example(nu=0.0, rho=1.0, w=7.719248915014685e-293, s=19550829470398.0)  # found by it
     @example(nu=0.0, rho=1.0, w=1e295, s=1.0)
+    # a step of 1/(2 rho) asks for 2e302 nodes, a count that wraps to a negative int
+    @example(nu=3.1277770418351336e16, rho=1.8159042979229847e286, w=3.1277770418351336e16,
+             s=1.6650223896551548e16)
     @settings(max_examples=300, deadline=None)
     def test_transform_is_finite_or_refused(self, nu, rho, w, s):
         # a ValueError where f or s is outside its domain; else a QuadratureError or a
