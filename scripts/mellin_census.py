@@ -8,7 +8,8 @@ and s - 1 in [1e-3, 100], all log-uniform, with s = 1 on half the draws.  Draws
 whose exact transform rho^-1 w^-x Gamma(x), x = (s + nu)/rho, lies outside
 (1e-290, 1e290) are skipped.  Each kept draw is ok (within QUAD_TOL of the
 closed form), a miss (past it, a wrong answer) or refused (QuadratureError,
-counted by message).  It prints the counts, the worst ok error and the time.
+counted by message).  It prints the counts, the worst ok error, the time and
+the slowest draw.
 Run it in two checkouts to compare them.
 """
 
@@ -30,6 +31,7 @@ from tgcs.specfun import QUAD_TOL, QuadratureError
 def census(draws: int, seed: int) -> None:
     rng = np.random.default_rng(seed)
     counts, refusals, worst, misses = Counter(), Counter(), 0.0, []
+    slowest = (0.0, None)  # (seconds, (nu, rho, w, s))
     start = time.perf_counter()
     for _ in range(draws):
         nu = math.exp(rng.uniform(math.log(1e-3), math.log(100.0))) - 1.0
@@ -40,12 +42,16 @@ def census(draws: int, seed: int) -> None:
         log_exact = -math.log(rho) - x * math.log(w) + math.lgamma(x)
         if not math.log(1e-290) < log_exact < math.log(1e290):
             continue
+        began = time.perf_counter()
         try:
             value = mellin_transform(AuxFunction(nu, rho, w), s)
         except QuadratureError as exc:
             counts["refused"] += 1
             refusals[str(exc).split(" (")[0]] += 1
             continue
+        finally:
+            slowest = max(slowest, (time.perf_counter() - began, (nu, rho, w, s)),
+                          key=lambda x: x[0])
         error = abs(value / math.exp(log_exact) - 1.0)
         if error <= QUAD_TOL:
             counts["ok"] += 1
@@ -60,6 +66,7 @@ def census(draws: int, seed: int) -> None:
         print(f"  refused {count:5d}  {message}")
     for miss in misses:
         print("  miss nu=%r rho=%r w=%r s=%r error=%.2g" % miss)
+    print("slowest draw nu=%r rho=%r w=%r s=%r" % slowest[1], f"{slowest[0]:.3f} s")
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ from .states import INFINITE, _span, _truncation_level
 class WeightFunction:
     """Completeness density U(u) = pi^-1 F(u) T(u) on (0, inf), T the series of
     seq truncated at k: the moment identity pi int [T]^-1 U u^n du = g(n) is the
-    integral of F u^(n+1) over t = ln u.  Subclasses give seq, k, the factor
-    (_log_factor, or _factor where it is signed) and its _tails (see specfun._window).
+    integral of F u^(n+1) over t = ln u.  Subclasses give seq, k, ln F
+    (_log_factor) and the tails of F (_tails, see specfun._window).
     """
 
     seq: GSequence
@@ -29,13 +29,8 @@ class WeightFunction:
         object.__setattr__(self, "k", _truncation_level(self.k, self.seq))
 
     def _log_factor(self, t: np.ndarray) -> np.ndarray:
-        """ln F at u = exp(t)."""
+        """ln F at u = exp(t); ln|F| + i pi where F < 0, as specfun._trapezoid takes it."""
         raise NotImplementedError
-
-    def _factor(self, t: np.ndarray, log_scale) -> np.ndarray:
-        """F(e^t) e^log_scale, the scale taken into the exponent: neither need be
-        representable alone."""
-        return np.exp(self._log_factor(t) + log_scale)
 
     def _log_normalization(self, t: np.ndarray) -> np.ndarray:
         """ln T = m + ln sum w at u = exp(t), from specfun._shifted_rows; DivergenceError
@@ -51,9 +46,9 @@ class WeightFunction:
             raise ValueError("weight functions are defined on finite u > 0")
         t = np.log(u)
         log_norm = self._log_normalization(t)
-        # an exponential of t in F past the double range gives its value, F = 0
-        with np.errstate(over="ignore"):
-            return self._factor(t, log_norm) / math.pi
+        # an exponential of t in F past the double range gives F = 0, ln F = -inf
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.exp(self._log_factor(t) + log_norm).real / math.pi
 
     def moment_target(self, n: int) -> float:
         """The g(n) value the n-th cancelled moment integral must reproduce."""
@@ -61,7 +56,7 @@ class WeightFunction:
 
     def _cancelled_moments(self, n: np.ndarray, tol: float) -> np.ndarray:
         """[values, error estimates] of int F u^(n+1) dt, one trapezoid row per n."""
-        return specfun._trapezoid(lambda t, n: self._factor(t, (n + 1.0) * t),
+        return specfun._trapezoid(lambda t, n: self._log_factor(t) + (n + 1.0) * t,
                                   tol, *specfun._window(*self._tails, n), n)
 
     def _radial_moments(self, n: np.ndarray) -> np.ndarray:
@@ -69,13 +64,11 @@ class WeightFunction:
         once per node, T still divided out so that this cross-checks the cancelled route."""
 
         def f(t: np.ndarray, n: np.ndarray) -> np.ndarray:
-            log_norm = self._log_normalization(t)
-            with np.errstate(over="ignore"):  # U, as eval gives it, over T
-                u_over_t = self._factor(t, log_norm) / math.pi / np.exp(log_norm)
-                return u_over_t * np.exp(t) ** (n + 1.0)
+            log_norm = self._log_normalization(t)  # ln(pi U / T), U as eval gives it
+            return self._log_factor(t) + log_norm - log_norm + (n + 1.0) * t
 
         window = specfun._window(*self._tails, n)
-        return math.pi * specfun._trapezoid(f, specfun.QUAD_TOL, *window, n)[0]
+        return specfun._trapezoid(f, specfun.QUAD_TOL, *window, n)[0]
 
     def label(self) -> str:
         params = "".join(f"{p}={v}," for p, v in vars(self.seq).items())
@@ -96,7 +89,7 @@ class CanonicalTruncatedWeight(WeightFunction):
         if self.k == INFINITE:
             raise ValueError("the canonical truncated weight requires a finite k")
 
-    def _factor(self, t: np.ndarray, log_scale) -> np.ndarray:
+    def _log_factor(self, t: np.ndarray) -> np.ndarray:
         # F = e^-u exp_k(-u) / exp_k(u) is signed and cancels: its terms u^n/n!,
         # over the largest at n = min(k, u), are products of ratios u/j past it
         # and j/u up to it, which round like the plain sums and never overflow
@@ -108,7 +101,7 @@ class CanonicalTruncatedWeight(WeightFunction):
         down = np.where(j <= top, j / u, 1.0)[..., ::-1]
         w = up * np.concatenate([np.cumprod(down, axis=-1)[..., ::-1], one], axis=-1)
         ratio = w @ (-1.0) ** np.arange(self.k + 1) / np.sum(w, axis=-1)
-        return ratio * np.exp(log_scale - u[..., 0])
+        return np.log(ratio + 0j) - u[..., 0]
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ class WrightWeight(WeightFunction):
         # window, not once per outer node, and the same trapezoid rows on its interpolant
         window = specfun._window(*self._tails, n)
         log_z = specfun._chebyshev(self._log_factor, window[0].min(), window[1].max())
-        return specfun._trapezoid(lambda t, n: np.exp(log_z(t) + (n + 1.0) * t), tol, *window, n)
+        return specfun._trapezoid(lambda t, n: log_z(t) + (n + 1.0) * t, tol, *window, n)
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,8 @@ class AuxFunction:
         return self.w, 1.0 / self.rho, self.nu + 1.0, self.nu + 1.0
 
     def on_log_axis(self, t: np.ndarray, s: float) -> np.ndarray:
-        """f(u) u^s at u = exp(t): the Mellin integrand on t = ln u, Jacobian included."""
-        return np.exp((s + self.nu) * t - self.w * np.exp(np.minimum(self.rho * t, 700.0)))
+        """ln of f(u) u^s at u = exp(t), the Mellin integrand on t = ln u, Jacobian included."""
+        return (s + self.nu) * t - self.w * np.exp(self.rho * t)
 
     def matching_sequence(self) -> G1:
         """The g(n) = f^(n+1) sequence generated by this density."""

@@ -163,7 +163,6 @@ _TRIM = 1e-20   # a row's support: its nodes above this fraction of its largest
 _HALVINGS = 10  # of a row's starting step
 _NODES = 1 << 22  # the most nodes one pass of _trapezoid samples
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny) / _EPS  # below it, rounding is not relative
 
 
 @np.errstate(all="ignore")  # inf ends, as at s_left = 0; NaN ones from inf * 0
@@ -171,112 +170,119 @@ def _window(c: float, p: float, s_left: float, s_right: float,
             n: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The t window of F u^(n+1) ~ e^((s_left + n) t) (t -> -inf), ~ e^((s_right + n) t
     - c e^(t/p)) (t -> inf), and its starting step: from e^-60 below the decay's onset
-    c e^(t/p) = 1 to where the right tail falls below e^-800, both ends clipped to the double
-    range +-700, and min(0.5, p/2), which resolves the cliff of width p.  QuadratureError
-    where no window is left: both ends past one side, or an end NaN (p or s_right + n infinite)."""
+    c e^(t/p) = 1 to where the right tail falls below e^-800, and min(0.5, p/2), which
+    resolves the cliff of width p.  QuadratureError where an end is not finite, as at
+    p = inf or s_left + n = 0."""
     s = s_right + n
     hi = np.full(np.shape(s), p * math.log(800.0 / c))
     for _ in range(8):  # to the fixed point from below, each step p s / (800 + s t) closer
         hi = p * np.log((800.0 + np.maximum(s * hi, 0.0)) / c)
-    lo, hi = np.maximum(-60.0 / (s_left + n) - p * math.log(c), -700.0), np.minimum(hi, 700.0)
-    if not (lo < hi).all():  # NaN too; else each end lies in [-700, 700]
+    lo = -60.0 / (s_left + n) - p * math.log(c)
+    if not (np.isfinite(lo) & np.isfinite(hi)).all():
         raise QuadratureError("window: the integrand lies outside the double range")
     return lo, hi, min(0.5, p / 2.0)
 
 
 @np.errstate(all="ignore")  # an f that overflows or gives NaN is refused below
 def _trapezoid(f, tol: float, lo, hi, step, *params) -> np.ndarray:
-    """[integrals, error estimates] of f over [lo, hi] on the log axis t = ln u.
+    """[integrals, error estimates] of e^f over [lo, hi] on the log axis t = ln u.
 
     The one quadrature behind every integral of the package.  One row per
     entry of lo, hi, step and params, each window and starting step its
     caller's (_window, from the integrand's tails); f(t, *p) takes a flat array
-    of nodes and each parameter repeated at its row's nodes.  One grid of
-    about that step trims each row to its nodes above _TRIM of its largest,
-    plus two each side (so that a zero of f at a node does not cut off a lobe
-    beyond it); then h halves until the change in a row's sum, plus the
-    rounding floor eps * |sum|, is within tol of the sum.  On these analytic
-    integrands, which decay exponentially or doubly exponentially in t, the
-    rule converges exponentially in 1/h once the window holds the support and
-    h resolves the decay (Trefethen & Weideman, SIAM Rev. 56, 2014).  Raises
-    QuadratureError on an empty window, on a pass of more than _NODES nodes,
-    on a non-finite f, on a row whose peak is in (0, _TINY] (rounding is not
-    relative there; a row of zeros gives 0), on a change at the rounding floor
-    that misses tol, after _HALVINGS halvings, and where the window cuts off a
-    tail: f at an end is above _TRIM of its peak, and the exponential through
-    that end and its neighbour on the finest grid leaves more than tol * |sum|
-    outside (an end where f does not fall outward leaves an unbounded tail).
+    of nodes and each parameter repeated at its row's nodes, and gives ln F
+    there, ln|F| + i pi where F < 0.  Each row is summed as e^(f - m), m its
+    largest Re f on one grid of about its step, as _shifted_rows shifts its
+    rows, and scaled by e^m at the end: no F need be a double.  That grid trims
+    each row to its nodes above _TRIM e^m, plus two each side (so that a zero of
+    F at a node does not cut off a lobe beyond it); then h halves until the
+    change in a row's sum, plus the rounding floor eps * |sum|, is within tol of
+    the sum.  On these analytic integrands, which decay exponentially or doubly
+    exponentially in t, the rule converges exponentially in 1/h once the window
+    holds the support and h resolves the decay (Trefethen & Weideman, SIAM Rev.
+    56, 2014).  Raises QuadratureError (any value and error it reports scaled by e^m) on
+    an empty window, a pass of more than _NODES nodes, an f NaN or +inf at a node
+    or -inf at every node of a first grid, a change at the rounding floor that
+    misses tol, _HALVINGS halvings, a window that cuts off a tail (F at an end
+    above _TRIM e^m, and the exponential through that end and its neighbour on
+    the finest grid leaving more than tol * |sum| outside, unbounded where F
+    does not fall outward), and an integral that is not a normal double.
     """
     lo, hi, step, *params = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi, step, *params)))
     if not (lo < hi).all():  # NaN too; a peak narrower than the rounding of t
         raise QuadratureError("trapezoid: an empty window")
 
-    def sample(idx, start, step, count):  # f at start + step * j, j < count, rows idx
+    def sample(idx, start, step, count):  # ln F at start + step * j, j < count, rows idx
         if not count.sum() <= _NODES:  # inf too; as floats, before a huge count wraps
             raise QuadratureError(f"trapezoid: a pass of more than {_NODES} nodes")
         count = count.astype(int)
         r = np.repeat(idx, count)
         j = np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)
-        v = f(start[r] + step[r] * j, *(p[r] for p in params))
+        return r, j, f(start[r] + step[r] * j, *(p[r] for p in params))
+
+    def shifted(r, lf):  # F over e^m of its row; NaN throughout a row whose m is not finite
+        v = np.exp(lf - m[r]).real
         if not math.isfinite(v.sum()):
-            raise QuadratureError("trapezoid: integrand not finite")
-        return r, j, v
+            raise QuadratureError("trapezoid: integrand not finite, or 0 at every node")
+        return v
+
+    def refusal(message, row, value, error):  # the row's value and error scaled by e^m
+        half = np.exp(m[row] / 2.0)  # e^m in halves: it overflows only where the product does
+        return QuadratureError(message, float(value * half * half), float(error * half * half))
 
     n = np.ceil((hi - lo) / step)  # >= 1 in a window that is not empty
     h = (hi - lo) / n
-    r, j, v = sample(np.arange(lo.size), lo, h, n + 1)
+    r, j, lf = sample(np.arange(lo.size), lo, h, n + 1)
     n = n.astype(int)
     starts = np.cumsum(n + 1) - n - 1
-    peak = np.maximum.reduceat(np.abs(v), starts)
-    big = np.abs(v) > _TRIM * peak[r]
+    m = np.maximum.reduceat(lf.real, starts)
+    v = shifted(r, lf)
+    big = np.abs(v) > _TRIM
     first = np.maximum(np.minimum.reduceat(np.where(big, j, n[r]), starts) - 2, 0)
     last = np.minimum(np.maximum.reduceat(np.where(big, j, 0), starts) + 2, n)
-    found = peak > _TINY  # a row not found keeps its window
-    end = np.abs(v[[starts, starts + n]])  # f at each end of the window
-    lo = np.where(found, lo + h * first, lo)
+    end = np.abs(v[[starts, starts + n]])  # F over e^m at each end of the window
+    lo = lo + h * first
     fr, lr = first[r], last[r]
     v = v * (((j >= fr) & (j <= lr)) - 0.5 * (j == fr) - 0.5 * (j == lr))
     out = np.array([h * np.bincount(r, v, minlength=lo.size), np.zeros(lo.size)])
-    if not found.all() and peak[~found].any():  # a row of zeros gives 0
-        row = np.argmax(~found & (peak > 0.0))
-        raise QuadratureError("trapezoid: integrand below the range of relative rounding",
-                              out[0, row].item(), math.inf)
-    n = np.where(found, last - first, 0)
-    idx = np.flatnonzero(n)
+    n = last - first  # >= 1: the node at m and a neighbour
+    idx = np.arange(lo.size)
     for _halving in range(_HALVINGS):
         if idx.size == 0:
             break
         h[idx] /= 2.0
-        r, _, v = sample(idx, lo + h, 2.0 * h, n[idx])
+        r, _, lf = sample(idx, lo + h, 2.0 * h, n[idx])
         n[idx] *= 2
         prev = out[0, idx]
-        out[0, idx] = prev / 2.0 + h[idx] * np.bincount(r, v, minlength=lo.size)[idx]
+        out[0, idx] = prev / 2.0 + h[idx] * np.bincount(r, shifted(r, lf), minlength=lo.size)[idx]
         change, floor = np.abs(out[0, idx] - prev), _EPS * np.abs(out[0, idx])
         out[1, idx] = change + floor
         open_ = out[1, idx] > tol * np.abs(out[0, idx])
         stuck = idx[open_ & (change <= floor)]
         if stuck.size:
-            raise QuadratureError("trapezoid: tol below the rounding floor",
-                                  *out[:, stuck[0]].tolist())
+            raise refusal("trapezoid: tol below the rounding floor", stuck[0], *out[:, stuck[0]])
         idx = idx[open_]
-    # past each end above _TRIM of its peak, the tail of the exponential through f there
-    # and next to it on the finest grid: end h / ln(inner / end), unbounded where f does
+    # past each end above _TRIM e^m, the tail of the exponential through F there and
+    # next to it on the finest grid: end h / ln(inner / end), unbounded where F does
     # not fall outward
-    side, row = np.nonzero(end > _TRIM * peak)
+    side, row = np.nonzero(end > _TRIM)
     if row.size:
-        inner = np.abs(f(np.where(side, hi[row] - h[row], lo[row] + h[row]),
-                         *(p[row] for p in params)))
+        inner = np.exp(f(np.where(side, hi[row] - h[row], lo[row] + h[row]),
+                         *(p[row] for p in params)).real - m[row])
         end = end[side, row]
         tail = np.where(end < inner, end * h[row] / np.log(inner / end), np.inf)
         tail = np.bincount(row, tail, minlength=lo.size)
         cut = np.flatnonzero(tail > tol * np.abs(out[0]))
         if cut.size:
-            raise QuadratureError("trapezoid: the window cuts off a tail",
-                                  out[0, cut[0]].item(), tail[cut[0]].item())
+            raise refusal("trapezoid: the window cuts off a tail", cut[0], out[0, cut[0]],
+                          tail[cut[0]])
     if idx.size:
-        raise QuadratureError(f"trapezoid: no convergence in {_HALVINGS} halvings",
-                              *out[:, idx[0]].tolist())
+        raise refusal(f"trapezoid: no convergence in {_HALVINGS} halvings", idx[0],
+                      *out[:, idx[0]])
+    out = out * np.exp(m / 2.0) * np.exp(m / 2.0)  # e^m in halves, as in refusal
+    if not ((sys.float_info.min <= np.abs(out[0])) & (np.abs(out[0]) <= sys.float_info.max)).all():
+        raise QuadratureError("trapezoid: the integral lies outside the double range")
     return out
 
 
@@ -347,10 +353,10 @@ def _kratzel(lam: float, mu: float, log_u) -> np.ndarray:
     exponentials balance (phi' = a) and where a balances the one on its side;
     phi is within |a| max(1, lam) ln 2 of its maximum there.  With A, B the
     exponentials at that point, phi(t + d) - phi(t) = a d - A expm1(-d)
-    - B expm1(d/lam) rounds like sqrt(A + B), not like A + B.  The window ends
-    where its quadratic or its exponential upper bound falls to -50; its step, at
-    lam/2 (0.5 at most), resolves the e^(t/lam) cliff.  QuadratureError where phi
-    there is not finite, as at mu/lam = 1e300.
+    - B expm1(d/lam), the ln of the integrand, rounds like sqrt(A + B), not like
+    A + B.  The window ends where its quadratic or its exponential upper bound
+    falls to -50; its step, at lam/2 (0.5 at most), resolves the e^(t/lam)
+    cliff.  QuadratureError where phi there is not finite, as at mu/lam = 1e300.
     """
     a = mu / lam - 1.0
     shape, log_u = np.shape(log_u), np.ravel(log_u).astype(float)
@@ -380,8 +386,8 @@ def _kratzel(lam: float, mu: float, log_u) -> np.ndarray:
     lo = np.fmax.reduce([peak - left, log_u - big, peak - 700.0])
     hi = np.fmin.reduce([peak + right, lam * big, peak + 700.0 * lam])
     integral = _trapezoid(
-        lambda t, peak, A, B: np.exp(a * (t - peak) - A * np.expm1(peak - t)
-                                     - B * np.expm1((t - peak) / lam)),
+        lambda t, peak, A, B: (a * (t - peak) - A * np.expm1(peak - t)
+                               - B * np.expm1((t - peak) / lam)),
         QUAD_TOL, lo, hi, min(0.5, lam / 2.0), peak, A, B)[0]
     out[rows] = shift + np.log(integral) - math.log(lam)
     return out.reshape(shape)

@@ -212,20 +212,29 @@ class TestAuxFunction:
             mellin_transform(AuxFunction(), s)
 
     @pytest.mark.parametrize("f", [
-        # exact 1e-300: its peak sits 9 below t = -700, and the +-700 window cut it to
-        # 9.999e-301; the left end's tail is refused
-        AuxFunction(0.0, 1.0, 1e300),
-        # the decay starts near t = 3e23, so no window is left inside +-700; the +-700
-        # window gave 1808, not e^(6.8e20)
+        # the decay starts near t = -2.6e4 and the tail e^(1e-7 t) runs on to t = -6e8:
+        # 1.2e9 nodes, past the node budget.  A window clipped to +-700 summed zeros to 0;
+        # the transform, about e^16, waits on a closed-form left tail
+        AuxFunction(1e-7 - 1.0, 0.0135, 6.6e151),
+        # the decay starts near t = 3e23: past the node budget, as is its transform,
+        # e^(6.8e20), past the double range; a window clipped to +-700 gave 1808
         AuxFunction(-0.9981854272234484, 4.661671551239021e-22, 3.7527053758921126e-58),
-        # Gamma(1e300) 1e300 overflows: the window's right end, clipped from 7e300 to 700,
-        # cuts off a rising tail
+        # Gamma(1e300) 1e300 overflows: the window runs to t = 7e300, past the node budget
         AuxFunction(0.0, 1e-300, 1.0),
         # rho^-1 = inf leaves a NaN end and no window
         AuxFunction(0.0, 5e-324, 1.0)])
     def test_window_that_loses_part_of_the_integrand_is_refused(self, f):
         with pytest.raises(QuadratureError):
             mellin_transform(f, 1.0)
+
+    def test_window_past_the_node_budget_is_refused_before_sampling(self, monkeypatch):
+        # nu + 1 = 0.01 puts the left end at t = -6000 and rho = 500 the step at 0.001:
+        # 6e6 nodes.  A window clipped to t = -700 sampled 1.4e6 nodes before its refusal
+        calls = []
+        monkeypatch.setattr(AuxFunction, "on_log_axis", lambda self, t, s: calls.append(t))
+        with pytest.raises(QuadratureError, match="a pass of more than"):
+            mellin_transform(AuxFunction(-0.99, 500.0, 1.0), 1.0)
+        assert calls == []
 
     def test_cliff_narrower_than_half_a_unit_is_resolved(self):
         # the cliff e^(rho t) is 1/rho = 0.006 wide: rows started at step 0.5 met tol
@@ -234,16 +243,27 @@ class TestAuxFunction:
             1.0421724632598304
         assert mellin_transform(f, s) == pytest.approx(mellin_closed_form(f, s), rel=1e-12)
 
-    def test_integrand_below_relative_rounding_is_refused(self):
-        # the exact 1e-295 has its peak below _TINY, where the step-0.5 sum was
-        # returned unchecked: 1.000000011e-295, 1.1e-8 off against tol 1e-8
-        with pytest.raises(QuadratureError, match="relative rounding"):
-            mellin_transform(AuxFunction(0.0, 1.0, 1e295), 1.0)
+    @pytest.mark.parametrize("w", [1e295, 1e300])
+    def test_integrand_at_the_bottom_of_the_double_range_is_computed(self, w):
+        # the exact 1/w, from rows shifted by their largest ln f.  Summed as values, the
+        # first row peaked below the range where rounding is relative, and the second
+        # peaked 9 below t = -700, where a clipped window cut it off
+        assert mellin_transform(AuxFunction(0.0, 1.0, w), 1.0) == pytest.approx(
+            1.0 / w, rel=1e-14)
+
+    @pytest.mark.parametrize("nu, rho, w, s", [
+        (-0.9957395055897837, 0.02446003355400216, 21491930561.54124, 1.0),
+        (-0.2653007158097249, 0.0295140987685424, 277239302667.0013, 1.0232740849674364)])
+    def test_decay_onset_left_of_t_minus_700_is_computed(self, nu, rho, w, s):
+        # the decay sets in near t = -973 and -893, where every node of a window clipped
+        # to t = -700 underflowed and the transforms, 3.445 and 2.5e-268, read 0.0
+        f = AuxFunction(nu, rho, w)
+        assert mellin_transform(f, s) == pytest.approx(mellin_closed_form(f, s), rel=1e-12)
 
     def test_overflowing_integrand_is_refused_without_a_warning(self):
-        # f u^2 at u = e^t: e^(2.5 t - 0.01 e^(0.02 t)) passes the double range near
-        # t = 280, before the decay at t = 500 (pytest turns every warning into an error)
-        with pytest.raises(QuadratureError, match="not finite"):
+        # f u^2 at u = e^t: e^(2.5 t - 0.01 e^(0.02 t)) peaks near e^1055 at t = 470, so the
+        # transform lies outside the double range (pytest turns every warning into an error)
+        with pytest.raises(QuadratureError, match="outside the double range"):
             mellin_transform(AuxFunction(0.5, 0.02, 1e-2), 2.0)
 
     @given(nu=st.floats(), rho=st.floats(), w=st.floats(), s=st.floats())
