@@ -19,7 +19,7 @@ import numpy as np
 
 from . import completeness, sampler, statistics, zeros
 from .gseq import (MAX_TERMS, AuxFunction, Factorial, G1, GSequence, MLGamma, WrightProduct,
-                   verify_mellin_link)
+                   _is_int, verify_mellin_link)
 from .specfun import QuadratureError, _log_label, _shifted_rows
 from .states import INFINITE, StateSpec, excitation_distribution, overlap, random_state_spec
 
@@ -48,8 +48,7 @@ def _sequence(obj: Any) -> GSequence:
 
 
 def _count(value: Any, name: str) -> int:
-    # bool is an int subclass, but true/false is no count
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+    if _is_int(value) and value >= 0:
         return value
     raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
 

@@ -10,15 +10,17 @@ import numpy as np
 
 from . import specfun
 from .gseq import (AuxFunction, Factorial, GSequence, MLGamma, MomentReport, WrightProduct,
-                   _moment_report)
+                   _moment_report, _order)
 from .states import INFINITE, _span, _truncation_level
 
 
 class WeightFunction:
     """Completeness density U(u) = pi^-1 F(u) T(u) on (0, inf), T the series of
     seq truncated at k: the moment identity pi int [T]^-1 U u^n du = g(n) is the
-    integral of F u^(n+1) over t = ln u.  Subclasses give seq, k, ln F
-    (_log_factor) and the tails of F (_tails, see specfun._window).
+    integral of F u^(n+1) over t = ln u, in which T cancels, so that
+    _cancelled_moments is the one moment route (moment_check, weight_radial_moment,
+    states.bargmann_inner_product) and only eval sums T.  Subclasses give seq, k,
+    ln F (_log_factor) and the tails of F (_tails, see specfun._window).
     """
 
     seq: GSequence
@@ -32,23 +34,19 @@ class WeightFunction:
         """ln F at u = exp(t); ln|F| + i pi where F < 0, as specfun._trapezoid takes it."""
         raise NotImplementedError
 
-    def _log_normalization(self, t: np.ndarray) -> np.ndarray:
-        """ln T = m + ln sum w at u = exp(t), from specfun._shifted_rows; DivergenceError
-        where a k = inf series would need more than MAX_TERMS terms."""
-        level = _span(self.seq, self.k, float(np.max(t)))[1]
-        log_g = self.seq.log_g_array(np.arange(level + 1))
-        return np.concatenate([(m + np.log(total))[:, 0] for m, _, total in specfun._shifted_rows(
-            log_g, 0, np.ravel(t))]).reshape(np.shape(t))[()]
-
     def eval(self, u):
-        """U(u) for u > 0, a float or an array; ValueError if any u is not finite and > 0."""
+        """U(u) for u > 0, a float or an array; ValueError if any u is not finite and > 0,
+        DivergenceError where a k = inf series would need more than MAX_TERMS terms."""
         if not np.all(np.greater(u, 0.0) & np.isfinite(u)):  # NaN too
             raise ValueError("weight functions are defined on finite u > 0")
         t = np.log(u)
-        log_norm = self._log_normalization(t)
+        # ln T = m + ln sum w, a specfun._shifted_rows row per u to the level at the largest
+        log_g = self.seq.log_g_array(np.arange(_span(self.seq, self.k, float(np.max(t)))[1] + 1))
+        log_norm = np.concatenate([(m + np.log(total))[:, 0] for m, _, total in
+                                   specfun._shifted_rows(log_g, 0, np.ravel(t))])
         # an exponential of t in F past the double range gives F = 0, ln F = -inf
         with np.errstate(over="ignore", divide="ignore"):
-            return np.exp(self._log_factor(t) + log_norm).real / math.pi
+            return np.exp(self._log_factor(t) + log_norm.reshape(np.shape(t))).real / math.pi
 
     def moment_target(self, n: int) -> float:
         """The g(n) value the n-th cancelled moment integral must reproduce."""
@@ -58,17 +56,6 @@ class WeightFunction:
         """[values, error estimates] of int F u^(n+1) dt, one trapezoid row per n."""
         return specfun._trapezoid(lambda t, n: self._log_factor(t) + (n + 1.0) * t,
                                   tol, *specfun._window(*self._tails, n), n)
-
-    def _radial_moments(self, n: np.ndarray) -> np.ndarray:
-        """pi * int_0^inf [T(u)]^-1 U(u) u^n du for each n, one trapezoid row per n: ln T
-        once per node, T still divided out so that this cross-checks the cancelled route."""
-
-        def f(t: np.ndarray, n: np.ndarray) -> np.ndarray:
-            log_norm = self._log_normalization(t)  # ln(pi U / T), U as eval gives it
-            return self._log_factor(t) + log_norm - log_norm + (n + 1.0) * t
-
-        window = specfun._window(*self._tails, n)
-        return specfun._trapezoid(f, specfun.QUAD_TOL, *window, n)[0]
 
     def label(self) -> str:
         params = "".join(f"{p}={v}," for p, v in vars(self.seq).items())
@@ -152,10 +139,11 @@ class WrightWeight(WeightFunction):
         return specfun._kratzel(self.lam, self.mu, t)
 
     def _cancelled_moments(self, n: np.ndarray, tol: float) -> np.ndarray:
-        # the check's one route: ln Z once per Chebyshev point of the rows' union
-        # window, not once per outer node, and the same trapezoid rows on its interpolant
+        # ln Z once per Chebyshev point of the window of rows 0..max n (both ends move right
+        # with n), not per outer node: a row's value does not depend on the others asked
         window = specfun._window(*self._tails, n)
-        log_z = specfun._chebyshev(self._log_factor, window[0].min(), window[1].max())
+        lo = specfun._window(*self._tails, 0)[0]
+        log_z = specfun._chebyshev(self._log_factor, lo, window[1].max())
         return specfun._trapezoid(lambda t, n: log_z(t) + (n + 1.0) * t, tol, *window, n)
 
 
@@ -171,18 +159,17 @@ class GeneralWeight(WeightFunction):
     _tails = property(lambda self: self.f._tails)
 
     def _log_factor(self, t: np.ndarray) -> np.ndarray:
-        return self.f.nu * t - self.f.w * np.exp(self.f.rho * t)
+        return self.f.on_log_axis(t, 0.0)
 
 
 def weight_radial_moment(w: WeightFunction, n: int) -> float:
-    """pi * int_0^inf [T(u)]^-1 U(u) u^n du, evaluated without cancellation."""
-    return float(w._radial_moments(np.array([n]))[0])
+    """pi * int_0^inf [T(u)]^-1 U(u) u^n du = int F u^(n+1) dt at QUAD_TOL, the row n
+    of moment_check(w, n, QUAD_TOL) bit for bit; ValueError as _order gives it."""
+    return float(w._cancelled_moments(np.array([_order(n, w.k)]), specfun.QUAD_TOL)[0, 0])
 
 
 def moment_check(w: WeightFunction, n_max: int, tol: float) -> MomentReport:
-    """Residuals of pi int [T]^-1 U u^n du against g(n) for n = 0..n_max."""
-    if n_max > w.k:
-        raise ValueError("n_max must not exceed the truncation level")
-    values = w._cancelled_moments(np.arange(n_max + 1), tol)[0].tolist()
-    return _moment_report(w.label(), values, [w.moment_target(n) for n in range(n_max + 1)],
-                          tol)
+    """Residuals of pi int [T]^-1 U u^n du against g(n) for n = 0..n_max; ValueError
+    as _order gives it."""
+    values = w._cancelled_moments(np.arange(_order(n_max, w.k, tol) + 1), tol)[0]
+    return _moment_report(w.label(), values, w.moment_target, tol)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar
 
@@ -12,6 +13,22 @@ from .specfun import QUAD_TOL, _trapezoid, _window
 
 # one term budget: ln g is checked up to it, and the k = inf sums stop there
 MAX_TERMS = 1 << 21
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no count
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _order(n, top: float, tol: float = QUAD_TOL) -> int:
+    """n as an int, the moment routes' one check of their order and tolerance: ValueError
+    unless n is an integer in [0, top] below MAX_TERMS (a bool is not) and tol > 0 finite."""
+    top = min(top, MAX_TERMS - 1)
+    if not (_is_int(n) and 0 <= n <= top):
+        raise ValueError(f"the moment order must be an integer in [0, {top}], got {n!r}")
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    return int(n)
 
 
 class GSequence:
@@ -222,21 +239,19 @@ class MomentReport:
         return max(r.residual for r in self.rows)
 
 
-def _moment_report(kind: str, values: list[float], targets: list[float],
-                   tol: float) -> MomentReport:
-    """The rows of relative residuals |value - target| / target, n = 0, 1, ..."""
+def _moment_report(kind: str, values: np.ndarray, target, tol: float) -> MomentReport:
+    """The rows of relative residuals |value - target(n)| / target(n), n = 0, 1, ..."""
     rows = tuple(MomentRow(kind=kind, n=n, target=t, value=v, residual=abs(v - t) / t)
-                 for n, (v, t) in enumerate(zip(values, targets)))
+                 for n, (v, t) in enumerate(zip(values.tolist(), map(target, range(len(values))))))
     return MomentReport(rows=rows, tol=tol, passed=all(r.residual <= tol for r in rows))
 
 
 def verify_mellin_link(f: AuxFunction, seq: GSequence, n_max: int, tol: float) -> MomentReport:
     """Relative residuals |f^(n+1) - g(n)| / g(n) for n = 0..n_max, one trapezoid
-    row per n at mellin_transform's tolerance."""
-    n = np.arange(n_max + 1)
+    row per n at mellin_transform's tolerance; ValueError as _order gives it."""
+    n = np.arange(_order(n_max, math.inf, tol) + 1)
     fhat = _trapezoid(f.on_log_axis, QUAD_TOL, *_window(*f._tails, n), n + 1.0)[0]
-    return _moment_report(seq.variant, fhat.tolist(),
-                          [seq.g(n) for n in range(n_max + 1)], tol)
+    return _moment_report(seq.variant, fhat, seq.g, tol)
 
 
 @dataclass(frozen=True)

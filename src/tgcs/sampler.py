@@ -7,12 +7,12 @@ PRNG contract: numpy PCG64 seeded with the 64-bit run seed; identical
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
+from .gseq import _is_int
 from .states import ExcitationDistribution
 
 
@@ -42,11 +42,6 @@ _CHUNK = 1 << 20
 MAX_SAMPLES = 1 << 30
 # how far the probabilities' sum may miss 1
 _SUM_TOL = 1e-6
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True is no count
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def sample_counts(dist: ExcitationDistribution, n_samples: int, seed: int) -> SampleRun:

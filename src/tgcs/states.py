@@ -213,10 +213,11 @@ def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
     """<psi||phi> via the completeness measure, angular integral done analytically.
 
     Only equal powers of z survive the angular integration, which reduces the
-    2-D integral to the radial weight moments; those are evaluated by one
-    quadrature through the supplied weight function, a row per nonzero term.
-    The moments reproduce the weight's g(n), so a weight whose ln g(n) differs
-    from seq's by more than QUAD_TOL at such an n raises ValueError.
+    2-D integral to the radial weight moments pi int [T]^-1 U u^n du; those are
+    the weight's own moment route (its _cancelled_moments at QUAD_TOL, as
+    completeness.weight_radial_moment), one quadrature with a row per nonzero
+    term.  The moments reproduce the weight's g(n), so a weight whose ln g(n)
+    differs from seq's by more than QUAD_TOL at such an n raises ValueError.
     """
     if len(psi.coeffs) != k + 1 or len(phi.coeffs) != k + 1:
         raise ValueError("FockVectors must have k+1 entries")
@@ -227,7 +228,7 @@ def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
     log_g = seq.log_g_array(n)
     if np.any(np.abs(weight.seq.log_g_array(n) - log_g) > QUAD_TOL):
         raise ValueError(f"the weight is built for {weight.seq!r}, not for {seq!r}")
-    return complex(np.sum(c[n] * weight._radial_moments(n) * np.exp(-log_g)))
+    return complex(np.sum(c[n] * weight._cancelled_moments(n, QUAD_TOL)[0] * np.exp(-log_g)))
 
 
 def random_state_spec(rng: np.random.Generator, k_max: int = 20,

@@ -14,8 +14,8 @@ from tgcs import specfun
 from tgcs.completeness import (CanonicalTruncatedWeight, GeneralWeight, MLWeight,
                                WeightFunction, WrightWeight, moment_check,
                                weight_radial_moment)
-from tgcs.gseq import G1, AuxFunction, MomentReport, Table, WrightProduct
-from tgcs.specfun import QuadratureError, _trapezoid, _window
+from tgcs.gseq import G1, AuxFunction, MomentReport, Table, WrightProduct, verify_mellin_link
+from tgcs.specfun import QUAD_TOL, QuadratureError, _trapezoid, _window
 from tgcs.states import INFINITE, MAX_TERMS, DivergenceError
 
 EPS = float(np.finfo(float).eps)
@@ -434,8 +434,59 @@ class TestSequenceOfAWeight:
 
 
 class TestRadialMoment:
-    def test_uncancelled_route_matches_target_for_ml(self):
+    def test_matches_target_for_ml(self):
         w = MLWeight(0.5, 0.5, INFINITE)
         for n in range(4):
             assert weight_radial_moment(w, n) == pytest.approx(
                 w.moment_target(n), rel=1e-7)
+
+    @pytest.mark.parametrize("make", _WEIGHTS, ids=_WEIGHT_IDS)
+    def test_is_the_row_of_the_moment_check(self, make):
+        # T cancels in pi int [T]^-1 U u^n du, so the radial moment is the weight's one
+        # moment route: the row n of moment_check at QUAD_TOL, bit for bit
+        w = make(6)
+        for n in range(4):
+            assert weight_radial_moment(w, n) == moment_check(w, n, QUAD_TOL).rows[n].value
+
+    def test_a_small_alpha_needs_no_series(self):
+        # the route that summed T at every node raised DivergenceError here, T summed at
+        # the window's top past MAX_TERMS terms, and took 2.25 s a moment at alpha = 1e-3
+        for alpha in [3e-4, 1e-3]:
+            w = MLWeight(alpha, 0.5)
+            assert weight_radial_moment(w, 1) == pytest.approx(w.moment_target(1), rel=1e-12)
+
+
+class TestOrderRefusals:
+    # an order that is no integer in [0, k] or a tol that is no finite number > 0 is
+    # refused up front: n_max = -1 gave an empty report that passed, 2.5 a TypeError,
+    # NaN "arange: cannot compute length", a radial moment at n = 2.5 a value for a g(2.5)
+    # that no state has, and a NaN tol a report that failed
+    @pytest.mark.parametrize("n", [-1, 2.5, math.nan, math.inf, True, 2 ** 70, "2", None,
+                                   np.float64(2.0), 7])
+    def test_a_bad_order_is_refused(self, n):
+        w, f = MLWeight(1.0, 1.0, 6), AuxFunction()
+        with pytest.raises(ValueError, match="moment order"):
+            moment_check(w, n, 1e-8)
+        with pytest.raises(ValueError, match="moment order"):
+            weight_radial_moment(w, n)
+        if n != 7:
+            with pytest.raises(ValueError, match="moment order"):
+                verify_mellin_link(f, f.matching_sequence(), n, 1e-8)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8, "1e-8", None])
+    def test_a_bad_tol_is_refused(self, tol):
+        f = AuxFunction()
+        with pytest.raises(ValueError, match="tol must be"):
+            moment_check(MLWeight(1.0, 1.0), 2, tol)
+        with pytest.raises(ValueError, match="tol must be"):
+            verify_mellin_link(f, f.matching_sequence(), 2, tol)
+
+    def test_an_order_past_the_term_budget_is_refused(self):
+        # at k = inf the order is bounded by the term budget, as a finite k is
+        with pytest.raises(ValueError, match="moment order"):
+            weight_radial_moment(MLWeight(1.0, 1.0), MAX_TERMS)
+
+    def test_numpy_integers_are_orders(self):
+        w = MLWeight(1.0, 1.0, 6)
+        assert weight_radial_moment(w, np.int64(2)) == weight_radial_moment(w, 2)
+        assert moment_check(w, np.int32(6), 1e-8).passed

@@ -547,6 +547,15 @@ class TestBargmann:
         assert bargmann_inner_product(v, v, MLGamma(0.5, 0.5), 3, MLWeight(0.5, 0.5, 1)) == (
             pytest.approx(1.0, rel=1e-12))
 
+    def test_inner_product_on_a_weight_of_small_alpha(self):
+        # the moments summed T at every node, which at alpha = 3e-4 needs more than
+        # MAX_TERMS terms at the window's top: DivergenceError
+        seq, k = MLGamma(3e-4, 0.5), 4
+        v = np.random.default_rng(12).normal(size=k + 1)
+        psi = FockVector(v / np.linalg.norm(v))
+        assert bargmann_inner_product(psi, psi, seq, k, MLWeight(3e-4, 0.5)) == pytest.approx(
+            1.0, rel=1e-12)
+
     def test_inner_product_reproduces_unit_norm_truncated(self):
         seq, k = MLGamma(0.5, 0.5), 3
         w = MLWeight(0.5, 0.5, k)
