@@ -26,22 +26,32 @@ pinned output prints the same hashes.  The groups:
 It takes about 15 s on 2 vCPUs.
 
 A refused input hashes the type of its error, so a refusal that moves shows.
-`weights_values()` and `quadrature_values()` yield those groups' values one by
-one, for a comparison of two checkouts that goes past the hash: where a change
-moves a hash by design, the largest relative move in each group.
+Where a change moves a hash by design, compare the values themselves:
+
+    python3 scripts/pinned_outputs.py --compare OTHER_CHECKOUT
+
+runs `weights_values()`, `quadrature_values()` and `run_verification_suite()`
+in each checkout, in a subprocess with that checkout's src and scripts on the
+path, and prints per group the number of values, how many moved from
+OTHER_CHECKOUT's, the largest absolute and relative move, and each refusal that
+moved.  It takes a few seconds.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
+import pickle
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
@@ -223,7 +233,76 @@ def budget_edge(h):
 GROUPS = [figure_grids_csvs, verify, sampler, infinite_rows, weights, cli_infinite, quadrature,
           roots_overlaps, budget_edge]
 
+# the compared values of the checkout whose src and scripts are argv[1:3], pickled to
+# stdout; it calls only functions that checkouts without --compare have too
+_VALUES = """
+import pickle, sys
+sys.path[:0] = sys.argv[1:3]
+import pinned_outputs
+from tgcs.cli import run_verification_suite
+pickle.dump({"weights": list(pinned_outputs.weights_values()),
+             "quadrature": list(pinned_outputs.quadrature_values()),
+             "verify": [(c["check"], c["residual"]) for c in run_verification_suite()[0]]},
+            sys.stdout.buffer)
+"""
+
+
+def _values(roots):
+    """The compared values of each checkout in roots, both run at once."""
+    runs = [subprocess.Popen([sys.executable, "-c", _VALUES, str(root / "src"),
+                              str(root / "scripts")], cwd=root, stdout=subprocess.PIPE)
+            for root in roots]
+    outs = [run.communicate()[0] for run in runs]
+    for root, run in zip(roots, runs):
+        if run.returncode:
+            sys.exit(f"the values of {root} exited with code {run.returncode}")
+    return [pickle.loads(out) for out in outs]
+
+
+def compare(other: Path) -> None:
+    """Per group: the values, those moved from other's, the largest absolute and
+    relative move, and each refusal (a value given as the type of its error) that
+    moved."""
+    before, after = _values([other, ROOT])
+    for group, rows in after.items():
+        if [label for label, _ in rows] != [label for label, _ in before[group]]:
+            print(f"{group:10} the labels differ: no value-by-value comparison")
+            continue
+        count = moved = 0
+        largest, where, absolute, refusals = 0.0, "", 0.0, []
+        for (label, old), (_, new) in zip(before[group], rows):
+            if isinstance(old, str) or isinstance(new, str):
+                count += 1
+                if not (isinstance(old, str) and old == new):
+                    moved += 1
+                    refusals.append(f"{label}: {old!r} -> {new!r}")
+                continue
+            old, new = (np.ravel(np.asarray(x, dtype=float)) for x in (old, new))
+            same = (old == new) | (np.isnan(old) & np.isnan(new))
+            count, moved = count + old.size, moved + int(np.sum(~same))
+            if same.all():
+                continue
+            with np.errstate(all="ignore"):
+                move = np.where(same, 0.0, np.abs(new - old))
+                relative = np.where(same, 0.0, move / np.abs(old))
+            absolute = max(absolute, float(np.max(move)))
+            if np.max(relative) > largest:
+                largest, where = float(np.max(relative)), label
+        print(f"{group:10} {count} values, {moved} moved; largest move {absolute:.3g}, "
+              f"relative {largest:.3g}" + (f" at {where}" if where else ""))
+        for line in refusals:
+            print(f"  refusal moved: {line}")
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--compare", type=Path, metavar="OTHER_CHECKOUT",
+                        help="compare the weights, quadrature and verify values with "
+                             "those of another checkout instead of printing the hashes")
+    args = parser.parse_args()
+    if args.compare:
+        compare(args.compare.resolve())
+        sys.exit()
     for group in GROUPS:
         start = time.perf_counter()
         h = hashlib.sha256()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -91,6 +92,9 @@ class CanonicalTruncatedWeight(WeightFunction):
         return np.log(ratio + 0j) - u[..., 0]
 
 
+_ML_RATIO_MAX = sys.float_info.max / 745.0  # the largest beta/alpha of an MLWeight
+
+
 @dataclass(frozen=True)
 class MLWeight(WeightFunction):
     """u^(beta/alpha - 1) exp(-u^(1/alpha)) T(u) / (pi alpha), T = E or its partial sum."""
@@ -99,6 +103,14 @@ class MLWeight(WeightFunction):
     beta: float
     k: float = INFINITE
     _kind = "ml"
+
+    def __post_init__(self):
+        super().__post_init__()
+        # the term (beta/alpha - 1) t of ln F is finite at every double u = e^t, |t| < 745;
+        # past it ln F is NaN, inf * 0 at u = 1 and inf - e^(t/alpha) beyond
+        if not self.beta / self.alpha <= _ML_RATIO_MAX:
+            raise ValueError(f"MLWeight requires beta/alpha <= {_ML_RATIO_MAX:.3g}, got "
+                             f"{self.beta!r}/{self.alpha!r}")
 
     @cached_property  # kept in the instance __dict__, outside eq, hash and repr
     def seq(self) -> MLGamma:
@@ -139,11 +151,15 @@ class WrightWeight(WeightFunction):
         return specfun._kratzel(self.lam, self.mu, t)
 
     def _cancelled_moments(self, n: np.ndarray, tol: float) -> np.ndarray:
-        # ln Z once per Chebyshev point of the window of rows 0..max n (both ends move right
-        # with n), not per outer node: a row's value does not depend on the others asked
+        """As WeightFunction's, with ln Z from its interpolant: once per Chebyshev point
+        of the window of rows 0..max n (both ends move right with n), not per outer
+        node, so a row's value does not depend on the others asked.  Two panels, split
+        at the decay onset -p ln c of _tails, which every window holds: ln Z is nearly a
+        power law left of it and falls doubly exponentially right of it."""
+        c, p, *_ = self._tails
         window = specfun._window(*self._tails, n)
-        lo = specfun._window(*self._tails, 0)[0]
-        log_z = specfun._chebyshev(self._log_factor, lo, window[1].max())
+        lo, hi = specfun._window(*self._tails, 0)[0], window[1].max()
+        log_z = specfun._chebyshev(self._log_factor, lo, -p * math.log(c), hi)
         return specfun._trapezoid(lambda t, n: log_z(t) + (n + 1.0) * t, tol, *window, n)
 
 

@@ -248,8 +248,10 @@ def _moment_report(kind: str, values: np.ndarray, target, tol: float) -> MomentR
 
 def verify_mellin_link(f: AuxFunction, seq: GSequence, n_max: int, tol: float) -> MomentReport:
     """Relative residuals |f^(n+1) - g(n)| / g(n) for n = 0..n_max, one trapezoid
-    row per n at mellin_transform's tolerance; ValueError as _order gives it."""
-    n = np.arange(_order(n_max, math.inf, tol) + 1)
+    row per n at mellin_transform's tolerance; ValueError as _order gives it, a
+    Table's order bounded by its last index."""
+    top = len(seq.values) - 1 if isinstance(seq, Table) else math.inf
+    n = np.arange(_order(n_max, top, tol) + 1)
     fhat = _trapezoid(f.on_log_axis, QUAD_TOL, *_window(*f._tails, n), n + 1.0)[0]
     return _moment_report(seq.variant, fhat, seq.g, tol)
 

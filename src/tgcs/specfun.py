@@ -291,51 +291,69 @@ _CHEB_CAP = 2048   # the largest N of _chebyshev
 _CHEB_BLOCK = 1 << 18  # elements of one (x, node) block of the interpolant
 
 
-def _chebyshev(f, a: float, b: float):
-    """f on [a, b] as its interpolant in the Chebyshev points of the second kind,
-    t_j = (a + b)/2 + (b - a)/2 cos(pi j / N), j = 0..N: a callable on 1-D arrays.
+def _chebyshev(f, *edges: float):
+    """f on [edges[0], edges[-1]] as one callable on 1-D arrays, piecewise: on each
+    panel [a, b] between consecutive edges, its interpolant in the Chebyshev points
+    of the second kind, t_j = (a + b)/2 + (b - a)/2 cos(pi j / N), j = 0..N.
 
-    N starts at 64 and doubles; the points are nested, so each doubling
-    evaluates f at the N new ones only.  It stops once the largest of the last
-    N/8 Chebyshev coefficients is within _CHEB_TOL (the chop test, Aurentz &
-    Trefethen, ACM TOMS 43, 2017), all of them from one rfft of the values
-    mirrored, a DCT-I.  The interpolant is the barycentric formula of the second
-    kind, weights (-1)^j halved at the ends (Berrut & Trefethen, SIAM Rev. 46,
-    2004), evaluated in blocks of _CHEB_BLOCK elements; at a node it gives f
-    there.  Raises QuadratureError on a non-finite f and where N = _CHEB_CAP
-    does not pass the test.
+    A panel per regime of f keeps each one smooth on its own (Pachon, Platte &
+    Trefethen, IMA J. Numer. Anal. 30, 2010).  On each panel N starts at 64 and
+    doubles; the points are nested, so each doubling evaluates f at the N new
+    ones only, and one call of f takes the new points of every panel still open.
+    A panel stops once the largest of its last N/8 Chebyshev coefficients is
+    within _CHEB_TOL (the chop test, Aurentz & Trefethen, ACM TOMS 43, 2017),
+    all of them from one rfft of the values mirrored, a DCT-I.  Each interpolant
+    is the barycentric formula of the second kind, weights (-1)^j halved at the
+    ends (Berrut & Trefethen, SIAM Rev. 46, 2004), evaluated in blocks of
+    _CHEB_BLOCK elements; at a node it gives f there, at an inner edge from the
+    panel on its left.  Raises QuadratureError on a non-finite f and where a
+    panel at N = _CHEB_CAP does not pass the test.
     """
-    mid, half, n = (a + b) / 2.0, (b - a) / 2.0, 64
-    t = mid + half * np.cos(np.pi * np.arange(n + 1) / n)
-    v = f(t)
-    while True:
-        if not np.isfinite(v).all():
-            raise QuadratureError("chebyshev: f not finite")
-        c = np.abs(np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real) / n
-        tail = max(c[-(n // 8):-1].max(), c[-1] / 2.0)
-        if tail <= _CHEB_TOL:
-            break
-        if n >= _CHEB_CAP:
-            raise QuadratureError(f"chebyshev: not resolved by {n} + 1 points", math.nan, tail)
-        new = mid + half * np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n))
-        t, v = (np.insert(old, np.arange(1, n + 1), add) for old, add in ((t, new), (v, f(new))))
-        n *= 2
-    w = (-1.0) ** np.arange(n + 1)
-    w[[0, -1]] /= 2.0
-    rows = max(1, _CHEB_BLOCK // t.size)
+    a, b = np.array(edges[:-1], dtype=float), np.array(edges[1:], dtype=float)
+    mid, half, n = (a + b) / 2.0, (b - a) / 2.0, [64] * a.size
+    t = [m + h * np.cos(np.pi * np.arange(65) / 64) for m, h in zip(mid, half)]
+    v = np.split(f(np.concatenate(t)), a.size)
+    open_ = range(a.size)
+    while open_ := [i for i in open_ if not _chopped(v[i], n[i])]:
+        new = [mid[i] + half[i] * np.cos(np.pi * np.arange(1, 2 * n[i], 2) / (2 * n[i]))
+               for i in open_]
+        add = np.split(f(np.concatenate(new)), np.cumsum([x.size for x in new])[:-1])
+        for i, x, y in zip(open_, new, add):
+            between = np.arange(1, n[i] + 1)
+            t[i], v[i], n[i] = np.insert(t[i], between, x), np.insert(v[i], between, y), 2 * n[i]
+    w = [(-1.0) ** np.arange(k + 1) for k in n]
+    for wi in w:
+        wi[[0, -1]] /= 2.0
+    inner = np.array(edges[1:-1], dtype=float)
 
     def interpolant(x):
-        out = np.empty(x.size)
-        for s in range(0, x.size, rows):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = w / (x[s:s + rows, None] - t)
-                block = (q @ v) / q.sum(axis=1)
-            hit = ~np.isfinite(block)  # x at a node (or within a subnormal of it)
-            block[hit] = v[np.argmax(np.isinf(q[hit]), axis=1)]
-            out[s:s + rows] = block
+        out, which = np.empty(x.size), np.searchsorted(inner, x)
+        for i, (ti, vi, wi) in enumerate(zip(t, v, w)):
+            at = np.flatnonzero(which == i)
+            rows = max(1, _CHEB_BLOCK // ti.size)
+            for s in range(0, at.size, rows):
+                block = at[s:s + rows]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    q = wi / (x[block, None] - ti)
+                    y = (q @ vi) / q.sum(axis=1)
+                hit = ~np.isfinite(y)  # x at a node (or within a subnormal of it)
+                y[hit] = vi[np.argmax(np.isinf(q[hit]), axis=1)]
+                out[block] = y
         return out
 
     return interpolant
+
+
+def _chopped(v: np.ndarray, n: int) -> bool:
+    """The chop test of _chebyshev on a panel's values v at its n + 1 points;
+    QuadratureError where v is not finite or n = _CHEB_CAP fails it."""
+    if not np.isfinite(v).all():
+        raise QuadratureError("chebyshev: f not finite")
+    c = np.abs(np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real) / n
+    tail = max(c[-(n // 8):-1].max(), c[-1] / 2.0)
+    if tail > _CHEB_TOL and n >= _CHEB_CAP:
+        raise QuadratureError(f"chebyshev: not resolved by {n} + 1 points", math.nan, tail)
+    return tail <= _CHEB_TOL
 
 
 # past this exponent the kernel is e^-1e9: zero in double precision, and no
@@ -355,8 +373,12 @@ def _kratzel(lam: float, mu: float, log_u) -> np.ndarray:
     exponentials at that point, phi(t + d) - phi(t) = a d - A expm1(-d)
     - B expm1(d/lam), the ln of the integrand, rounds like sqrt(A + B), not like
     A + B.  The window ends where its quadratic or its exponential upper bound
-    falls to -50; its step, at lam/2 (0.5 at most), resolves the e^(t/lam)
-    cliff.  QuadratureError where phi there is not finite, as at mu/lam = 1e300.
+    falls to -50.  Its starting step, min(0.5, lam/2, 1/sqrt(A + B/lam^2)),
+    resolves the e^(t/lam) cliff and the row's own peak: phi'' = -(A + B/lam^2)
+    at the shift point, so the last is the peak's Gaussian width, at which the
+    trapezoid error is about e^(-2 pi^2) = 2.7e-9, below QUAD_TOL (Trefethen &
+    Weideman, SIAM Rev. 56, 2014).  QuadratureError where phi there is not
+    finite, as at mu/lam = 1e300.
     """
     a = mu / lam - 1.0
     shape, log_u = np.shape(log_u), np.ravel(log_u).astype(float)
@@ -385,10 +407,12 @@ def _kratzel(lam: float, mu: float, log_u) -> np.ndarray:
     # fmax/fmin drop a NaN bound: 0/0 where A or B underflowed and the slope is 0
     lo = np.fmax.reduce([peak - left, log_u - big, peak - 700.0])
     hi = np.fmin.reduce([peak + right, lam * big, peak + 700.0 * lam])
+    # 1/sqrt(A + B/lam^2), written so that it overflows nowhere (A, B <= e^700)
+    width = lam / np.hypot(lam * np.sqrt(A), np.sqrt(B))
     integral = _trapezoid(
         lambda t, peak, A, B: (a * (t - peak) - A * np.expm1(peak - t)
                                - B * np.expm1((t - peak) / lam)),
-        QUAD_TOL, lo, hi, min(0.5, lam / 2.0), peak, A, B)[0]
+        QUAD_TOL, lo, hi, np.fmin(min(0.5, lam / 2.0), width), peak, A, B)[0]
     out[rows] = shift + np.log(integral) - math.log(lam)
     return out.reshape(shape)
 

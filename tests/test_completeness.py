@@ -158,6 +158,33 @@ class TestWeightEval:
         with pytest.raises(DivergenceError):
             MLWeight(0.5, 0.5).eval(2000.0)
 
+    @given(alpha=st.floats(), beta=st.floats(), k=st.sampled_from([3, INFINITE]))
+    @settings(max_examples=300, deadline=None)
+    # beta/alpha past the double range: (beta/alpha - 1) t was inf * 0 = NaN at u = 1
+    # and inf - inf past it
+    @example(alpha=5e-324, beta=1.0, k=3)
+    @example(alpha=1e-300, beta=1e10, k=3)
+    @example(alpha=1e-10, beta=1e300, k=3)
+    def test_ml_any_alpha_beta_is_refused_or_finite(self, alpha, beta, k):
+        # alpha and beta from all floats, NaN and infinities too: a ValueError when built,
+        # or U at u = 0.5, 1, 2 finite or refused
+        try:
+            w = MLWeight(alpha, beta, k)
+        except ValueError:
+            return
+        for u in (0.5, 1.0, 2.0):
+            try:
+                value = w.eval(u)
+            except (ValueError, QuadratureError):
+                continue
+            assert math.isfinite(value), (u, value)
+
+    def test_ml_exponent_past_the_double_range_is_refused(self):
+        # eval(e^100) was NaN: (beta/alpha - 1) t = 1e309 and e^(t/alpha) both
+        # overflowed, and inf - inf is NaN
+        with pytest.raises(ValueError, match="beta/alpha"):
+            MLWeight(1e-5, 1e302, 3)
+
     def test_rejects_nonpositive_u(self):
         with pytest.raises(ValueError):
             MLWeight(1.0, 1.0).eval(0.0)
@@ -389,17 +416,34 @@ class TestWrightInterpolatedRoute:
         assert rep.passed and rep.max_residual <= 1e-13
 
     def test_kratzel_rows_per_check(self, monkeypatch):
-        rows, kratzel = [], specfun._kratzel
+        # rows: ln Z at each Chebyshev point; nodes and passes: what the rows' trapezoid
+        # samples.  One panel over the whole window with every row at a step of lam/2
+        # sampled 27178 nodes in 12 passes here
+        rows, nodes, inside = [], [], []
+        kratzel, trapezoid = specfun._kratzel, specfun._trapezoid
 
         def counted(lam, mu, t):
             rows.append(np.size(t))
-            return kratzel(lam, mu, t)
+            inside.append(True)
+            try:
+                return kratzel(lam, mu, t)
+            finally:
+                inside.pop()
+
+        def sampled(f, *args):
+            def g(t, *p):
+                nodes.append(np.size(t))
+                return f(t, *p)
+
+            return trapezoid(g if inside else f, *args)
 
         monkeypatch.setattr(specfun, "_kratzel", counted)
+        monkeypatch.setattr(specfun, "_trapezoid", sampled)
         w = WrightWeight(0.7, 0.8)
         rep = moment_check(w, 2, 1e-6)
         assert rep.passed and rep.max_residual <= 1e-13
         assert sum(rows) <= 257
+        assert sum(nodes) <= 20000 and len(nodes) <= 6
         rows.clear()
         WeightFunction._cancelled_moments(w, np.arange(3), 1e-6)
         assert sum(rows) >= 500  # the direct route, once per outer node
@@ -480,6 +524,15 @@ class TestOrderRefusals:
             moment_check(MLWeight(1.0, 1.0), 2, tol)
         with pytest.raises(ValueError, match="tol must be"):
             verify_mellin_link(f, f.matching_sequence(), 2, tol)
+
+    def test_a_table_bounds_the_link_order_before_any_quadrature(self, monkeypatch):
+        # past the Table's last index the link computed every Mellin row, then raised a
+        # bare IndexError from seq.g
+        calls = []
+        monkeypatch.setattr(AuxFunction, "on_log_axis", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"moment order must be an integer in \[0, 2\]"):
+            verify_mellin_link(AuxFunction(), Table((1.0, 1.0, 2.0)), 5, 1e-6)
+        assert calls == []
 
     def test_an_order_past_the_term_budget_is_refused(self):
         # at k = inf the order is bounded by the term budget, as a finite k is

@@ -320,6 +320,31 @@ class TestChebyshev:
         nodes, values = (np.concatenate(x) for x in zip(*seen))
         assert np.array_equal(interpolant(nodes), values)
 
+    def test_two_panels_give_the_node_values_at_the_nodes(self):
+        seen = []
+
+        def f(t):
+            seen.append((t, np.where(t < 0.0, 0.3 * t, 0.3 * t - np.expm1(t))))
+            return seen[-1][1]
+
+        interpolant = _chebyshev(f, -60.0, 0.0, 8.0)
+        nodes, values = (np.concatenate(x) for x in zip(*seen))
+        assert np.array_equal(interpolant(nodes), values)
+        assert np.sum(nodes == 0.0) == 2  # the break is an end node of both panels
+
+    def test_two_panels_follow_a_change_of_regime_at_the_break(self):
+        # a kink at t = 0, a power law left of it and a doubly exponential fall right
+        # of it, as ln Z has at its decay onset: one panel across it meets the chop
+        # test nowhere
+        def f(t):
+            return np.where(t < 0.0, 0.4 * t, 0.4 * t - np.expm1(t))
+
+        t = np.random.default_rng(2).uniform(-60.0, 8.0, 5000)
+        error = np.abs(_chebyshev(f, -60.0, 0.0, 8.0)(t) - f(t))
+        assert np.all(error <= 1e-13 * (1.0 + np.abs(f(t))))
+        with pytest.raises(QuadratureError, match="not resolved"):
+            _chebyshev(f, -60.0, 8.0)
+
     def test_refuses_at_the_cap(self):
         # coefficients falling as k^-4, 16-fold per doubling, from too high to
         # meet the chop test by N = 2048
