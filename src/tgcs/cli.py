@@ -216,7 +216,7 @@ def cmd_zeros(cfg: dict[str, Any], out: str | None, fmt: str) -> int:
         raise ConfigError("zeros requires a finite k >= 1")
     try:
         rs = zeros.polynomial_roots(seq, k)
-    except (IndexError, zeros.RootFindingError) as exc:
+    except (ValueError, zeros.RootFindingError) as exc:
         raise ConfigError(f"bad degree: {exc}") from exc
     _write_rows(["re", "im", "residual"],
                 [((), zip(rs.roots.real, rs.roots.imag, rs.residuals))], out, fmt)

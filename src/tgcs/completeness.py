@@ -54,7 +54,7 @@ class WeightFunction:
         return self.seq.g(n)
 
     def _cancelled_moments(self, n: np.ndarray, tol: float) -> np.ndarray:
-        """[values, error estimates] of int F u^(n+1) dt, one trapezoid row per n."""
+        """The values of int F u^(n+1) dt, one trapezoid row per n."""
         return specfun._trapezoid(lambda t, n: self._log_factor(t) + (n + 1.0) * t,
                                   tol, *specfun._window(*self._tails, n), n)
 
@@ -80,16 +80,21 @@ class CanonicalTruncatedWeight(WeightFunction):
     def _log_factor(self, t: np.ndarray) -> np.ndarray:
         # F = e^-u exp_k(-u) / exp_k(u) is signed and cancels: its terms u^n/n!,
         # over the largest at n = min(k, u), are products of ratios u/j past it
-        # and j/u up to it, which round like the plain sums and never overflow
-        u = np.exp(t)[..., None]
-        j = np.arange(1, self.k + 1)
-        top = np.minimum(self.k, np.floor(u))
-        one = np.ones(u.shape)
-        up = np.concatenate([one, np.cumprod(np.where(j > top, u / j, 1.0), axis=-1)], axis=-1)
-        down = np.where(j <= top, j / u, 1.0)[..., ::-1]
-        w = up * np.concatenate([np.cumprod(down, axis=-1)[..., ::-1], one], axis=-1)
-        ratio = w @ (-1.0) ** np.arange(self.k + 1) / np.sum(w, axis=-1)
-        return np.log(ratio + 0j) - u[..., 0]
+        # and j/u up to it, which round like the plain sums and never overflow; in
+        # blocks of at most specfun._BLOCK (node, j) entries, as _shifted_rows builds rows
+        u = np.exp(np.ravel(t))
+        j, sign = np.arange(1, self.k + 1), (-1.0) ** np.arange(self.k + 1)
+        ratio = np.empty(u.size)
+        step = max(1, specfun._BLOCK // (self.k + 1))
+        for i in range(0, u.size, step):
+            b = u[i:i + step, None]
+            top = np.minimum(self.k, np.floor(b))
+            one = np.ones(b.shape)
+            up = np.concatenate([one, np.cumprod(np.where(j > top, b / j, 1.0), axis=1)], axis=1)
+            down = np.where(j <= top, j / b, 1.0)[:, ::-1]
+            w = up * np.concatenate([np.cumprod(down, axis=1)[:, ::-1], one], axis=1)
+            ratio[i:i + step] = w @ sign / np.sum(w, axis=1)
+        return (np.log(ratio + 0j) - u).reshape(np.shape(t))
 
 
 _ML_RATIO_MAX = sys.float_info.max / 745.0  # the largest beta/alpha of an MLWeight
@@ -151,11 +156,12 @@ class WrightWeight(WeightFunction):
         return specfun._kratzel(self.lam, self.mu, t)
 
     def _cancelled_moments(self, n: np.ndarray, tol: float) -> np.ndarray:
-        """As WeightFunction's, with ln Z from its interpolant: once per Chebyshev point
-        of the window of rows 0..max n (both ends move right with n), not per outer
-        node, so a row's value does not depend on the others asked.  Two panels, split
-        at the decay onset -p ln c of _tails, which every window holds: ln Z is nearly a
-        power law left of it and falls doubly exponentially right of it."""
+        """The values of int F u^(n+1) dt, one trapezoid row per n, as WeightFunction's,
+        with ln Z from its interpolant: once per Chebyshev point of the window of rows
+        0..max n (both ends move right with n), not per outer node, so a row's value
+        does not depend on the others asked.  Two panels, split at the decay onset
+        -p ln c of _tails, which every window holds: ln Z is nearly a power law left of
+        it and falls doubly exponentially right of it."""
         c, p, *_ = self._tails
         window = specfun._window(*self._tails, n)
         lo, hi = specfun._window(*self._tails, 0)[0], window[1].max()
@@ -181,11 +187,11 @@ class GeneralWeight(WeightFunction):
 def weight_radial_moment(w: WeightFunction, n: int) -> float:
     """pi * int_0^inf [T(u)]^-1 U(u) u^n du = int F u^(n+1) dt at QUAD_TOL, the row n
     of moment_check(w, n, QUAD_TOL) bit for bit; ValueError as _order gives it."""
-    return float(w._cancelled_moments(np.array([_order(n, w.k)]), specfun.QUAD_TOL)[0, 0])
+    return float(w._cancelled_moments(np.array([_order(n, w.k)]), specfun.QUAD_TOL)[0])
 
 
 def moment_check(w: WeightFunction, n_max: int, tol: float) -> MomentReport:
     """Residuals of pi int [T]^-1 U u^n du against g(n) for n = 0..n_max; ValueError
     as _order gives it."""
-    values = w._cancelled_moments(np.arange(_order(n_max, w.k, tol) + 1), tol)[0]
+    values = w._cancelled_moments(np.arange(_order(n_max, w.k, tol) + 1), tol)
     return _moment_report(w.label(), values, w.moment_target, tol)

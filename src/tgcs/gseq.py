@@ -214,7 +214,7 @@ def mellin_transform(f: AuxFunction, s: float) -> float:
     """int_0^inf f(u) u^(s-1) du by the trapezoid rule on the log axis."""
     if not 1 <= s < math.inf:  # NaN too
         raise ValueError("mellin_transform requires a finite s >= 1")
-    return float(_trapezoid(f.on_log_axis, QUAD_TOL, *_window(*f._tails, s - 1.0), s)[0, 0])
+    return float(_trapezoid(f.on_log_axis, QUAD_TOL, *_window(*f._tails, s - 1.0), s)[0])
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def verify_mellin_link(f: AuxFunction, seq: GSequence, n_max: int, tol: float) -
     Table's order bounded by its last index."""
     top = len(seq.values) - 1 if isinstance(seq, Table) else math.inf
     n = np.arange(_order(n_max, top, tol) + 1)
-    fhat = _trapezoid(f.on_log_axis, QUAD_TOL, *_window(*f._tails, n), n + 1.0)[0]
+    fhat = _trapezoid(f.on_log_axis, QUAD_TOL, *_window(*f._tails, n), n + 1.0)
     return _moment_report(seq.variant, fhat, seq.g, tol)
 
 

@@ -160,7 +160,6 @@ def _shifted_rows(log_g: np.ndarray, n0: int, log_u) -> Iterator[tuple[np.ndarra
 
 
 _TRIM = 1e-20   # a row's support: its nodes above this fraction of its largest
-_HALVINGS = 10  # of a row's starting step
 _NODES = 1 << 22  # the most nodes one pass of _trapezoid samples
 _EPS = float(np.finfo(float).eps)
 
@@ -185,7 +184,7 @@ def _window(c: float, p: float, s_left: float, s_right: float,
 
 @np.errstate(all="ignore")  # an f that overflows or gives NaN is refused below
 def _trapezoid(f, tol: float, lo, hi, step, *params) -> np.ndarray:
-    """[integrals, error estimates] of e^f over [lo, hi] on the log axis t = ln u.
+    """The integrals of e^f over [lo, hi] on the log axis t = ln u, one per row.
 
     The one quadrature behind every integral of the package.  One row per
     entry of lo, hi, step and params, each window and starting step its
@@ -193,20 +192,24 @@ def _trapezoid(f, tol: float, lo, hi, step, *params) -> np.ndarray:
     of nodes and each parameter repeated at its row's nodes, and gives ln F
     there, ln|F| + i pi where F < 0.  Each row is summed as e^(f - m), m its
     largest Re f on one grid of about its step, as _shifted_rows shifts its
-    rows, and scaled by e^m at the end: no F need be a double.  That grid trims
-    each row to its nodes above _TRIM e^m, plus two each side (so that a zero of
-    F at a node does not cut off a lobe beyond it); then h halves until the
-    change in a row's sum, plus the rounding floor eps * |sum|, is within tol of
-    the sum.  On these analytic integrands, which decay exponentially or doubly
-    exponentially in t, the rule converges exponentially in 1/h once the window
-    holds the support and h resolves the decay (Trefethen & Weideman, SIAM Rev.
-    56, 2014).  Raises QuadratureError (any value and error it reports scaled by e^m) on
-    an empty window, a pass of more than _NODES nodes, an f NaN or +inf at a node
-    or -inf at every node of a first grid, a change at the rounding floor that
-    misses tol, _HALVINGS halvings, a window that cuts off a tail (F at an end
-    above _TRIM e^m, and the exponential through that end and its neighbour on
-    the finest grid leaving more than tol * |sum| outside, unbounded where F
-    does not fall outward), and an integral that is not a normal double.
+    rows, and scaled by e^m at the end: no F need be a double.  That first grid
+    checks the window: past each end where F is above _TRIM e^m, the exponential
+    through F there and at its neighbour leaves end h / ln(inner / end) outside,
+    unbounded where F does not fall outward (a bound that does not depend on h
+    for an exponential tail, and only grows with h where ln F is concave
+    outward).  It then trims each row to its nodes above _TRIM e^m, plus two
+    each side (so that a zero of F at a node does not cut off a lobe beyond
+    it), and h halves until the change in a row's sum, plus the rounding floor
+    eps * |sum|, is within tol of the sum.  On these analytic integrands, which
+    decay exponentially or doubly exponentially in t, the rule converges
+    exponentially in 1/h once the window holds the support and h resolves the
+    decay (Trefethen & Weideman, SIAM Rev. 56, 2014).  Raises QuadratureError
+    (any value and error it reports scaled by e^m) on an empty window, an f NaN
+    or +inf at a node or -inf at every node of a first grid, tails that leave
+    more than tol * |sum| on the first grid, before any halving, a change at
+    the rounding floor that misses tol, a pass of more than _NODES nodes, which
+    ends every row that does not converge, and an integral that is not a
+    normal double.
     """
     lo, hi, step, *params = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi, step, *params)))
@@ -227,9 +230,10 @@ def _trapezoid(f, tol: float, lo, hi, step, *params) -> np.ndarray:
             raise QuadratureError("trapezoid: integrand not finite, or 0 at every node")
         return v
 
-    def refusal(message, row, value, error):  # the row's value and error scaled by e^m
+    def refusal(message, row, error):  # the row's sum and error scaled by e^m
         half = np.exp(m[row] / 2.0)  # e^m in halves: it overflows only where the product does
-        return QuadratureError(message, float(value * half * half), float(error * half * half))
+        return QuadratureError(message, float(total[row] * half * half),
+                               float(error * half * half))
 
     n = np.ceil((hi - lo) / step)  # >= 1 in a window that is not empty
     h = (hi - lo) / n
@@ -238,52 +242,40 @@ def _trapezoid(f, tol: float, lo, hi, step, *params) -> np.ndarray:
     starts = np.cumsum(n + 1) - n - 1
     m = np.maximum.reduceat(lf.real, starts)
     v = shifted(r, lf)
+    # F over e^m at each end of the window and next to it
+    end, inner = np.abs(v[[starts, starts + n]]), np.abs(v[[starts + 1, starts + n - 1]])
+    tail = np.where(end > _TRIM, np.where(end < inner, end * h / np.log(inner / end), np.inf),
+                    0.0).sum(axis=0)
     big = np.abs(v) > _TRIM
     first = np.maximum(np.minimum.reduceat(np.where(big, j, n[r]), starts) - 2, 0)
     last = np.minimum(np.maximum.reduceat(np.where(big, j, 0), starts) + 2, n)
-    end = np.abs(v[[starts, starts + n]])  # F over e^m at each end of the window
     lo = lo + h * first
     fr, lr = first[r], last[r]
     v = v * (((j >= fr) & (j <= lr)) - 0.5 * (j == fr) - 0.5 * (j == lr))
-    out = np.array([h * np.bincount(r, v, minlength=lo.size), np.zeros(lo.size)])
+    total = h * np.bincount(r, v, minlength=lo.size)
+    cut = np.flatnonzero(tail > tol * np.abs(total))
+    if cut.size:
+        raise refusal("trapezoid: the window cuts off a tail", cut[0], tail[cut[0]])
     n = last - first  # >= 1: the node at m and a neighbour
     idx = np.arange(lo.size)
-    for _halving in range(_HALVINGS):
-        if idx.size == 0:
-            break
+    while idx.size:
         h[idx] /= 2.0
         r, _, lf = sample(idx, lo + h, 2.0 * h, n[idx])
         n[idx] *= 2
-        prev = out[0, idx]
-        out[0, idx] = prev / 2.0 + h[idx] * np.bincount(r, shifted(r, lf), minlength=lo.size)[idx]
-        change, floor = np.abs(out[0, idx] - prev), _EPS * np.abs(out[0, idx])
-        out[1, idx] = change + floor
-        open_ = out[1, idx] > tol * np.abs(out[0, idx])
-        stuck = idx[open_ & (change <= floor)]
+        prev = total[idx]
+        total[idx] = prev / 2.0 + h[idx] * np.bincount(r, shifted(r, lf), minlength=lo.size)[idx]
+        change, floor = np.abs(total[idx] - prev), _EPS * np.abs(total[idx])
+        error = change + floor
+        open_ = error > tol * np.abs(total[idx])
+        stuck = np.flatnonzero(open_ & (change <= floor))
         if stuck.size:
-            raise refusal("trapezoid: tol below the rounding floor", stuck[0], *out[:, stuck[0]])
+            raise refusal("trapezoid: tol below the rounding floor", idx[stuck[0]],
+                          error[stuck[0]])
         idx = idx[open_]
-    # past each end above _TRIM e^m, the tail of the exponential through F there and
-    # next to it on the finest grid: end h / ln(inner / end), unbounded where F does
-    # not fall outward
-    side, row = np.nonzero(end > _TRIM)
-    if row.size:
-        inner = np.exp(f(np.where(side, hi[row] - h[row], lo[row] + h[row]),
-                         *(p[row] for p in params)).real - m[row])
-        end = end[side, row]
-        tail = np.where(end < inner, end * h[row] / np.log(inner / end), np.inf)
-        tail = np.bincount(row, tail, minlength=lo.size)
-        cut = np.flatnonzero(tail > tol * np.abs(out[0]))
-        if cut.size:
-            raise refusal("trapezoid: the window cuts off a tail", cut[0], out[0, cut[0]],
-                          tail[cut[0]])
-    if idx.size:
-        raise refusal(f"trapezoid: no convergence in {_HALVINGS} halvings", idx[0],
-                      *out[:, idx[0]])
-    out = out * np.exp(m / 2.0) * np.exp(m / 2.0)  # e^m in halves, as in refusal
-    if not ((sys.float_info.min <= np.abs(out[0])) & (np.abs(out[0]) <= sys.float_info.max)).all():
+    total = total * np.exp(m / 2.0) * np.exp(m / 2.0)  # e^m in halves, as in refusal
+    if not ((sys.float_info.min <= np.abs(total)) & (np.abs(total) <= sys.float_info.max)).all():
         raise QuadratureError("trapezoid: the integral lies outside the double range")
-    return out
+    return total
 
 
 _CHEB_TOL = 1e-12  # of the chop test, on the last eighth of the coefficients
@@ -412,7 +404,7 @@ def _kratzel(lam: float, mu: float, log_u) -> np.ndarray:
     integral = _trapezoid(
         lambda t, peak, A, B: (a * (t - peak) - A * np.expm1(peak - t)
                                - B * np.expm1((t - peak) / lam)),
-        QUAD_TOL, lo, hi, np.fmin(min(0.5, lam / 2.0), width), peak, A, B)[0]
+        QUAD_TOL, lo, hi, np.fmin(min(0.5, lam / 2.0), width), peak, A, B)
     out[rows] = shift + np.log(integral) - math.log(lam)
     return out.reshape(shape)
 

@@ -204,6 +204,7 @@ def overlap(a: StateSpec, b: StateSpec) -> complex:
 
 def bargmann_poly(phi: FockVector, seq: GSequence, zbar: complex) -> complex:
     """sum_n <n||phi> zbar^n / sqrt(g(n)) over the basis phi spans."""
+    _truncation_level(max(len(phi.coeffs) - 1, 0), seq)
     scaled = phi.coeffs * np.exp(-0.5 * seq.log_g_array(np.arange(len(phi.coeffs))))
     return complex(np.polyval(scaled[::-1], zbar))
 
@@ -219,6 +220,7 @@ def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
     term.  The moments reproduce the weight's g(n), so a weight whose ln g(n)
     differs from seq's by more than QUAD_TOL at such an n raises ValueError.
     """
+    k = _truncation_level(k, seq)
     if len(psi.coeffs) != k + 1 or len(phi.coeffs) != k + 1:
         raise ValueError("FockVectors must have k+1 entries")
     c = np.conj(psi.coeffs) * phi.coeffs
@@ -228,7 +230,7 @@ def bargmann_inner_product(psi: FockVector, phi: FockVector, seq: GSequence,
     log_g = seq.log_g_array(n)
     if np.any(np.abs(weight.seq.log_g_array(n) - log_g) > QUAD_TOL):
         raise ValueError(f"the weight is built for {weight.seq!r}, not for {seq!r}")
-    return complex(np.sum(c[n] * weight._cancelled_moments(n, QUAD_TOL)[0] * np.exp(-log_g)))
+    return complex(np.sum(c[n] * weight._cancelled_moments(n, QUAD_TOL) * np.exp(-log_g)))
 
 
 def random_state_spec(rng: np.random.Generator, k_max: int = 20,

@@ -117,6 +117,7 @@ def mandel_q_closed_form(seq: GSequence, k: int, u: float) -> float:
 def mandel_q2_closed_form(seq: GSequence, u: float) -> float:
     """The explicit k = 2 rational form of Q_2(u)."""
     _label(u)
+    _truncation_level(2, seq)
     log_g = seq.log_g_array(np.arange(3))
     # past the double range of g(0..2), or of the denominator (u past about
     # 1e154 for g of order 1), the log-space form does not overflow

@@ -9,7 +9,7 @@ import numpy as np
 
 from .gseq import GSequence
 from .specfun import _shifted_rows
-from .states import StateSpec
+from .states import StateSpec, _truncation_level
 
 MAX_DEGREE = 100
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -41,6 +41,7 @@ def polynomial_roots(seq: GSequence, k: int) -> RootSet:
     1e-15 test or the cap ends the polish.  An estimate where p'(y) = 0, as
     at an exact double root, takes no step instead of dividing 0 by 0.
     """
+    k = _truncation_level(k, seq)
     if k < 1:
         raise ValueError("polynomial_roots requires k >= 1")
     if k > MAX_DEGREE:

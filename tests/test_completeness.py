@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -23,7 +24,7 @@ EPS = float(np.finfo(float).eps)
 
 def improper(log_f, tol=1e-8):
     """int_0^inf f(u) du by specfun._trapezoid on t = ln u (Jacobian u), from ln f."""
-    return _trapezoid(lambda t: log_f(np.exp(t)) + t, tol, -700.0, 700.0, 0.5)[0, 0]
+    return _trapezoid(lambda t: log_f(np.exp(t)) + t, tol, -700.0, 700.0, 0.5)[0]
 
 
 class TestQuadratureImproper:
@@ -73,12 +74,31 @@ class TestQuadratureImproper:
         assert abs(shifted - exact) <= rel * exact
 
     def test_window_that_cuts_off_a_tail_raises(self):
+        # on the first grid, with one call of f: these took 4 and 7 calls, and 11 203
+        # and 44 803 nodes, when the tails were checked after the halvings
+        calls = []
+
+        def counted(f):
+            return lambda t: calls.append(t.size) or f(t)
+
         # e^(-|t|/1000) is e^-0.7 at +-700, and its tails hold most of the integral
         with pytest.raises(QuadratureError, match="cuts off"):
-            _trapezoid(lambda t: -np.abs(t) / 1000.0, 1e-8, -700.0, 700.0, 0.5)
+            _trapezoid(counted(lambda t: -np.abs(t) / 1000.0), 1e-8, -700.0, 700.0, 0.5)
+        assert calls == [2801]
+        calls.clear()
         # a rising end has an unbounded tail
         with pytest.raises(QuadratureError, match="cuts off"):
-            _trapezoid(lambda t: t / 100.0, 1e-8, -700.0, 0.0, 0.5)
+            _trapezoid(counted(lambda t: t / 100.0), 1e-8, -700.0, 0.0, 0.5)
+        assert calls == [1401]
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1e-4, 1e-5])
+    def test_narrow_gaussian_halves_until_it_converges(self, sigma):
+        # a row halves until it converges: ten halvings at most refused all three,
+        # although at sigma = 1e-3 the best estimate was already within 1e-18
+        total = _trapezoid(lambda t: -0.5 * (t / sigma) ** 2, 1e-10, -5.0, 5.0, 0.5)
+        assert total.shape == (1,)
+        exact = sigma * math.sqrt(2.0 * math.pi)
+        assert abs(total[0] - exact) <= 1e-12 * exact
 
     def test_clipped_end_with_a_small_tail_is_kept(self):
         # ML(2, 0.1) at n = 0: F u ~ e^(t/20), which a window clipped to t = -700 left
@@ -333,6 +353,18 @@ class TestMomentCheck:
         assert rep.rows[0].value == pytest.approx(exact, rel=1e-12)
         assert rep.rows[1].value == pytest.approx(-exact, rel=1e-12)
 
+    def test_canonical_truncated_factor_memory_is_bounded(self):
+        # the factor is built in blocks of at most specfun._BLOCK (node, j) entries;
+        # built at once over every node, the peak grew with k, about 270 MB here and
+        # 14 GB at the largest k the weight accepts
+        tracemalloc.start()
+        try:
+            moment_check(CanonicalTruncatedWeight(40_000), 1, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
 
 class TestWrightInterpolatedRoute:
     @given(lam=st.floats(math.log(0.05), math.log(5.0)),
@@ -351,7 +383,7 @@ class TestWrightInterpolatedRoute:
         # budget refuses the direct route, the interpolated one passes against g(n)
         w, n = WrightWeight(math.exp(lam), math.exp(mu)), np.arange(3)
         try:
-            direct = WeightFunction._cancelled_moments(w, n, 1e-8)[0]
+            direct = WeightFunction._cancelled_moments(w, n, 1e-8)
         except QuadratureError as exc:
             if "a pass of more than" in str(exc):
                 assert moment_check(w, 2, 1e-8).passed
@@ -359,7 +391,7 @@ class TestWrightInterpolatedRoute:
             with pytest.raises(QuadratureError):
                 w._cancelled_moments(n, 1e-8)
             return
-        interpolated = w._cancelled_moments(n, 1e-8)[0]
+        interpolated = w._cancelled_moments(n, 1e-8)
         target = np.array([w.moment_target(k) for k in n])
         assert np.all((np.abs(interpolated - direct) <= 1e-12 * direct)
                       | (np.abs(interpolated - target) < np.abs(direct - target)))

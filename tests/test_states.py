@@ -514,6 +514,10 @@ class TestBargmann:
         assert bargmann_poly(phi, seq, zbar) == pytest.approx(
             zbar ** 2 / math.sqrt(seq.g(2)), rel=1e-13)
 
+    def test_empty_vector_is_zero(self):
+        # the degree check reads an empty vector as degree 0, which any Table holds
+        assert bargmann_poly(FockVector(np.ones(0)), Table((1.0,)), 0.5) == 0j
+
     def test_linearity(self):
         seq, k = Factorial(), 3
         rng = np.random.default_rng(5)

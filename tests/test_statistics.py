@@ -8,16 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tgcs.completeness import MLWeight
 from tgcs.gseq import (AsymptoticFamily, AsymptoticTerm, Factorial, G1, MLGamma, Table,
                        WrightProduct)
 from tgcs.specfun import mittag_leffler, wright
-from tgcs.states import (ExcitationDistribution, INFINITE, MAX_TERMS, StateSpec,
-                         excitation_distribution, random_state_spec)
+from tgcs.states import (ExcitationDistribution, FockVector, INFINITE, MAX_TERMS, StateSpec,
+                         bargmann_inner_product, bargmann_poly, excitation_distribution,
+                         random_state_spec)
 from tgcs.statistics import (Regime, SmallLabelSign, UndefinedAtOriginError,
                              correlation_g2, mandel_q,
                              mandel_q2_closed_form, mandel_q_closed_form,
                              number_moments, p_asymptotic, q2_zero_crossing,
                              q_large_label_approx, q_small_label_sign)
+from tgcs.zeros import polynomial_roots
 
 
 class TestNumberMoments:
@@ -166,6 +169,25 @@ def test_helpers_refuse_a_k_that_is_no_truncation_level(helper, k):
     # the term budget used to reach numpy's allocation (7 TiB at 10^12)
     with pytest.raises(ValueError, match="k must be"):
         helper(k)
+
+
+_PAIR = Table((1.0, 2.0))
+_FOUR = FockVector(np.ones(4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mandel_q2_closed_form(_PAIR, 1.0),
+    lambda: polynomial_roots(_PAIR, 3),
+    lambda: bargmann_poly(_FOUR, _PAIR, 0.5),
+    lambda: bargmann_inner_product(_FOUR, _FOUR, _PAIR, 3, MLWeight(1.0, 1.0)),
+    lambda: polynomial_roots(Factorial(), 2.5),
+], ids=["mandel_q2_closed_form", "polynomial_roots", "bargmann_poly",
+        "bargmann_inner_product", "polynomial_roots-2.5"])
+def test_a_degree_past_a_table_or_not_integral_is_refused_before_any_sum(call):
+    # each raised a bare IndexError from inside a sum: a Table lookup past its end, or
+    # numpy's refusal of 2.5 as an index
+    with pytest.raises(ValueError, match="k = [23] runs past the end|k must be"):
+        call()
 
 
 class TestZeroCrossing:
